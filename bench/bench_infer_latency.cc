@@ -191,7 +191,7 @@ int Main(int argc, char** argv) {
     }
   }
   // Serving precision sweep: the same DIFFODE weights frozen at f64 vs f32
-  // (the f32 tier of diffode_f32.cc), across the lockstep batch sizes. ISA
+  // (LockstepEngine<float> vs <double>), across the lockstep batch sizes. ISA
   // and precision columns let the perf trajectory distinguish
   // f32-vs-f64 and avx2-vs-avx512 rows (scripts/bench_report.sh).
   const char* isa_name = simd::IsaName(simd::ActiveIsa());

@@ -13,7 +13,9 @@
 //
 // Flags use --key=value form; `diffode_cli help` lists everything.
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -71,16 +73,26 @@ int Usage() {
   return 1;
 }
 
-std::vector<Scalar> ParseTimes(const std::string& csv) {
-  std::vector<Scalar> out;
+// Parses a comma-separated list of query times. Every item must be a
+// finite number; otherwise returns false and names the bad item in *error.
+bool ParseTimes(const std::string& csv, std::vector<Scalar>* out,
+                std::string* error) {
   std::size_t pos = 0;
-  while (pos < csv.size()) {
+  while (pos <= csv.size()) {
     std::size_t next = csv.find(',', pos);
     if (next == std::string::npos) next = csv.size();
-    if (next > pos) out.push_back(std::stod(csv.substr(pos, next - pos)));
+    const std::string item = csv.substr(pos, next - pos);
+    char* end = nullptr;
+    const Scalar t = std::strtod(item.c_str(), &end);
+    if (item.empty() || end != item.c_str() + item.size() ||
+        !std::isfinite(t)) {
+      *error = "'" + item + "' is not a finite time";
+      return false;
+    }
+    out->push_back(t);
     pos = next + 1;
   }
-  return out;
+  return true;
 }
 
 int RunGenerate(const std::map<std::string, std::string>& flags) {
@@ -226,15 +238,18 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
   const std::string load = FlagOr(flags, "load", "");
   const std::string at = FlagOr(flags, "at", "");
   if (path.empty() || load.empty() || at.empty()) return Usage();
-  const Index channels = std::stoll(FlagOr(flags, "channels", "1"));
+  std::vector<Scalar> times;
   std::string error;
+  if (!ParseTimes(at, &times, &error)) {
+    std::fprintf(stderr, "bad --at: %s\n", error.c_str());
+    return 1;
+  }
+  const Index channels = std::stoll(FlagOr(flags, "channels", "1"));
   auto series = data::LoadCsv(path, channels, /*labels=*/false, &error);
   if (series.empty()) {
     std::fprintf(stderr, "load failed: %s\n", error.c_str());
     return 1;
   }
-  const std::vector<Scalar> times = ParseTimes(at);
-  if (times.empty()) return Usage();
 
   const std::string model_name = FlagOr(flags, "model", "DIFFODE");
   const Index latent = std::stoll(FlagOr(flags, "latent", "16"));
@@ -273,6 +288,15 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
   model->Freeze(precision);
 
   const Index exec_batch = std::stoll(FlagOr(flags, "batch", "1"));
+  // Models need at least two observations to encode a context; shorter
+  // series are skipped, and named.
+  const auto servable = [&series](std::size_t i) {
+    if (series[i].length() >= 2) return true;
+    std::fprintf(stderr,
+                 "series %zu skipped: %lld observation(s), need at least 2\n",
+                 i, static_cast<long long>(series[i].length()));
+    return false;
+  };
   const auto print_row = [&times](std::size_t series_idx,
                                   const std::vector<Tensor>& preds) {
     std::printf("series %zu:", series_idx);
@@ -292,7 +316,7 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
     core::BatchPredictor predictor(model.get(), exec_batch);
     std::vector<std::pair<std::size_t, Index>> requests;
     for (std::size_t i = 0; i < series.size(); ++i) {
-      if (series[i].length() < 2) continue;
+      if (!servable(i)) continue;
       requests.emplace_back(i, predictor.Enqueue(series[i], times));
     }
     predictor.Flush();
@@ -303,7 +327,7 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
 
   ag::NoGradScope no_grad;
   for (std::size_t i = 0; i < series.size(); ++i) {
-    if (series[i].length() < 2) continue;
+    if (!servable(i)) continue;
     (void)model->TakeAuxiliaryLoss();
     auto preds = model->PredictAt(series[i], times);
     (void)model->TakeAuxiliaryLoss();

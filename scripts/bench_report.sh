@@ -202,7 +202,7 @@ report = {
         "benchmark": "bench_infer_latency (serving precision sweep)",
         "metric": "sustained_seqs_per_sec",
         "note": "the same DIFFODE weights frozen at f64 vs f32 "
-                "(Freeze(Precision::kF32), the diffode_f32.cc engine); isa "
+                "(Freeze(Precision::kF32), LockstepEngine<float>); isa "
                 "is the dispatched kernel backend; each batch size's f64 and "
                 "f32 cells ran back to back so their ratio shares one "
                 "frequency regime",

@@ -73,14 +73,14 @@ echo "== tier-1: grad-off (NoGradScope) matrix entry =="
 (cd build && ctest --output-on-failure -R 'nograd_test|serialize_roundtrip_test')
 
 echo "== tier-1: batched lockstep equivalence, DIFFODE_KERNEL_ISA=scalar =="
-# The lockstep engine must match the per-sequence path (bitwise at B=1) on
-# the scalar backend too; the test internally sweeps both ISAs and 1/4
+# The lockstep engines must match the per-sequence path (within the bounds
+# batched_equiv_test states) on the scalar backend too; the test internally sweeps both ISAs and 1/4
 # threads, this leg pins the dispatcher itself to scalar.
 (cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure \
   -R 'batched_equiv_test')
 
 echo "== tier-1: f32 serving tier, DIFFODE_KERNEL_ISA=scalar =="
-# The f32 engine's accuracy and round-trip contracts must hold on the
+# The f32 tier's accuracy and round-trip contracts must hold on the
 # portable scalar f32 kernels — the fallback a non-AVX2 serving host runs.
 (cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure \
   -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
@@ -125,18 +125,17 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   (cd build-asan && ctest --output-on-failure \
     -R 'nograd_test|serialize_roundtrip_test')
 
-  echo "== asan: batched lockstep engine =="
-  # The engine packs/scatters rows through raw kernel copies and row views;
-  # this leg is the gate that no packed block or checkpoint row outlives its
-  # buffer.
-  (cd build-asan && ctest --output-on-failure -R 'batched_equiv_test')
-
-  echo "== asan: f32 serving engine =="
-  # The f32 tier carves flat scratch (p_buf / chunk_scratch) by chunk id and
-  # caches stage tensors across RK stages; this leg is the gate that no
-  # recovery pass indexes outside its chunk slice and no cached stage buffer
-  # is read after the active-row count changed.
-  (cd build-asan && ctest --output-on-failure -R 'precision_test')
+  echo "== asan: lockstep engine (f64 and f32) =="
+  # One engine serves both precisions (diffode_lockstep.cc). It packs and
+  # scatters rows through raw kernel copies, carves flat scratch (the p
+  # buffer and one Derivative slice per chunk) by chunk id, caches stage
+  # inputs across RK stages, and recycles its temporaries through its own
+  # pool scope. This leg is the gate that no recovery pass indexes outside
+  # its chunk slice, no cached stage buffer is read after the active-row
+  # count changed, and no packed block, checkpoint row or pooled buffer
+  # outlives its storage.
+  (cd build-asan && ctest --output-on-failure \
+    -R 'batched_equiv_test|precision_test|alloc_stats_test')
 
   echo "== asan: full suite =="
   (cd build-asan && ctest --output-on-failure -j)

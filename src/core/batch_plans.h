@@ -7,10 +7,10 @@
 
 namespace diffode::core {
 
-// Per-batch lockstep timelines for DIFFODE's batched state evaluation,
-// shared by the f64 engine (diffode_batched.cc) and the f32 serving engine
-// (diffode_f32.cc) so both precisions integrate the EXACT same (t, h) step
-// grids — timeline construction is always f64 and dtype-free.
+// Per-batch lockstep timelines for DIFFODE's batched state evaluation
+// (diffode_lockstep.cc). Timeline construction is always f64 and
+// dtype-free, so both serving precisions integrate the EXACT same (t, h)
+// step grids.
 //
 // Each batch row gets a forward plan replicating StatesAt's grid:
 // sorted-unique query times (plus the observation anchors when the

@@ -16,8 +16,9 @@ namespace diffode::core {
 //
 // Both methods are serving/eval paths: they open their own ag::NoGradScope,
 // never build tape, and never accumulate auxiliary losses. Contract with the
-// per-sequence path: identical within 1e-10 relative at any B, bitwise
-// identical at B = 1 (tests/batched_equiv_test.cc).
+// per-sequence path: identical within 1e-10 relative at any B; at B = 1
+// bitwise for ODE-RNN and GRU-D and within 1e-12 relative for DIFFODE,
+// whose engine fuses the DHS recoveries (tests/batched_equiv_test.cc).
 class BatchedSequenceModel {
  public:
   virtual ~BatchedSequenceModel() = default;

@@ -19,9 +19,12 @@
 
 namespace diffode::core {
 
-// Frozen f32 parameter snapshot + cast contexts for the f32 serving engine
-// (built by Freeze(Precision::kF32), defined in diffode_f32.cc).
-struct ServingF32;
+// The lockstep serving engine and its frozen layer snapshot, templated on
+// the RHS dtype (defined in diffode_lockstep.cc).
+template <typename T>
+struct ServingT;
+template <typename T>
+class LockstepEngine;
 
 // The DIFFODE model (paper Secs. III-B to III-D):
 //   encoder ψ  : observations -> latent codes Z (GRU with history, or MLP)
@@ -41,15 +44,13 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   ag::Var ClassifyLogits(const data::IrregularSeries& context) override;
   std::vector<ag::Var> PredictAt(const data::IrregularSeries& context,
                                  const std::vector<Scalar>& times) override;
-  // Lockstep batched forwards (diffode_batched.cc): all sequences advance
+  // Lockstep batched forwards (diffode_lockstep.cc): all sequences advance
   // together along their own per-sequence step timelines, so the shared
-  // MLPs (phi, f_r, heads) run at GEMM shape m = B while the per-sequence
-  // DHS recoveries replay the exact per-sequence arithmetic. Serving/eval
-  // only: runs under its own NoGradScope. After Freeze(Precision::kF32)
-  // both forwards route to the f32 serving engine (diffode_f32.cc), which
-  // runs the hot loop — encoder, DHS recoveries, phi/f_r/w_r/f_out GEMMs,
-  // lockstep integration — in float over the same RowPlan timelines and
-  // casts results back to f64 at the boundary.
+  // MLPs (phi, f_r, heads) run at GEMM shape m = B while the per-row DHS
+  // recoveries run as fused raw loops. Serving/eval only: each call opens
+  // its own NoGradScope and buffer-pool scope. The engine computes in f64,
+  // or in float after Freeze(Precision::kF32); the DHS factorization and
+  // the carried state stay f64 either way, and results come back as f64.
   Tensor ClassifyLogitsBatched(const data::SequenceBatch& batch) override;
   std::vector<std::vector<Tensor>> PredictAtBatched(
       const data::SequenceBatch& batch,
@@ -99,14 +100,6 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // contexts, free vectors, z_mean, and (grad mode only) the Hoyer term.
   // Shared by the per-sequence and batched encoders.
   void BuildContexts(Encoded* enc) const;
-  // Per-row encodings with the GRU recurrence advanced in lockstep across
-  // the batch (diffode_batched.cc).
-  std::vector<Encoded> EncodeBatched(const data::SequenceBatch& batch) const;
-  // States for every (row, query-time) pair via one lockstep integration;
-  // out[r][k] is the 1 x StateDim() state of row r at norm_queries[r][k].
-  std::vector<std::vector<Tensor>> BatchedStatesAt(
-      const std::vector<Encoded>& encs,
-      const std::vector<std::vector<Scalar>>& norm_queries) const;
   // Augmented initial state [S | c | r] (or [c | r] without attention).
   ag::Var InitialState(const Encoded& enc) const;
   // Augmented dynamics closure over the encoded context.
@@ -121,9 +114,9 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   Index StateDim() const;
   Index ReadoutDim() const;
 
-  // Builds (kF32) or drops (kF64) the frozen f32 serving snapshot; runs
-  // after Module::Freeze has rounded the parameters through float, so the
-  // snapshot casts are exact (diffode_f32.cc).
+  // Builds the frozen serving snapshot at `precision`; runs after
+  // Module::Freeze has rounded the parameters, so kF32 casts are exact
+  // (diffode_lockstep.cc).
   void OnFrozen(Precision precision) override;
 
   // Adds a DHS consistency / sparsity term to this thread's aux loss.
@@ -151,11 +144,13 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   Tensor hippo_a_t_;  // Aᵀ, cached so Dynamics never re-transposes
   Tensor hippo_b_t_;  // 1 x d_c (Bᵀ)
 
-  // Set by Freeze(Precision::kF32); presence routes the batched forwards to
-  // the f32 engine. The engine (a friend so it can replay the private
-  // context/initial-state builds) lives in diffode_f32.cc.
-  friend struct DiffOdeF32Engine;
-  std::shared_ptr<ServingF32> serving_f32_;
+  // Frozen serving snapshots; at most one is set, by the last Freeze. An
+  // f32 snapshot routes the batched forwards to LockstepEngine<float>, a
+  // friend so it can reuse the private context/initial-state builds.
+  template <typename T>
+  friend class LockstepEngine;
+  std::shared_ptr<const ServingT<float>> serving_f32_;
+  std::shared_ptr<const ServingT<Scalar>> serving_f64_;
 };
 
 }  // namespace diffode::core

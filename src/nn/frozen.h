@@ -10,12 +10,12 @@
 #include "tensor/kernels.h"
 
 // Frozen serving snapshots: plain-tensor, dtype-generic mirrors of the
-// autograd layers, built once from a frozen Module's f64 parameters. Their
-// forwards are exactly the value chains of the corresponding Module
-// forwards (same kernel calls, same operand order) with no tape, no Var
-// allocations, and the element type chosen at snapshot time — the compute
-// layer behind Freeze(Precision::kF32) serving (docs/performance.md,
-// "Serving precision").
+// autograd layers, built from a Module's f64 parameters. Their forwards
+// are exactly the value chains of the corresponding Module forwards (same
+// kernel calls, same operand order) with no tape, no Var allocations, and
+// the element type chosen at snapshot time — the layers of DIFFODE's
+// lockstep serving engine at both precisions (docs/performance.md,
+// "Execution batching").
 //
 // Snapshots are taken AFTER Module::Freeze has rounded the parameters to
 // the target precision, so the Cast here never rounds twice and a

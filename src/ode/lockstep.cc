@@ -4,59 +4,9 @@
 #include <cmath>
 #include <type_traits>
 
-#include "autograd/ops.h"
 #include "tensor/kernels.h"
 
 namespace diffode::ode {
-namespace {
-
-// Per-row stage combination through the shared forward-arithmetic range
-// functions of the per-sequence integrator (ops.cc), sliced at each row's
-// own step size. Stage buffers are plain Tensors reused across iterations.
-template <typename T>
-struct StageBuffers {
-  TensorT<T> stage;        // packed stage states (a x d)
-  std::vector<Scalar> tt;  // packed stage times
-};
-
-// out[i] = y[i] + k[i] * h in T. The f64 branch calls the per-sequence
-// integrator's exact range function so the lockstep path stays bitwise
-// identical to the unrolled solver; the f32 branch is the same expression
-// with the row's step size rounded once to float.
-template <typename T>
-inline void AxpyRowT(Index d, const T* y, const T* k, Scalar h, T* out) {
-  if constexpr (std::is_same_v<T, Scalar>) {
-    ag::detail::AxpyForward(d, y, k, h, out);
-  } else {
-    const T ht = static_cast<T>(h);
-    kernels::Zip(d, y, k, out, [ht](T yv, T kv) { return yv + kv * ht; });
-  }
-}
-
-// RK4 combination out = y + h/6 (k1 + 2 k2 + 2 k3 + k4), same branch
-// structure as AxpyRowT.
-template <typename T>
-inline void Rk4CombineRowT(Index d, const T* y, const T* k1, const T* k2,
-                           const T* k3, const T* k4, Scalar h, T* out) {
-  if constexpr (std::is_same_v<T, Scalar>) {
-    ag::detail::Rk4CombineForward(d, y, k1, k2, k3, k4, h, out);
-  } else {
-    const T h6 = static_cast<T>(h) / T(6);
-    for (Index i = 0; i < d; ++i)
-      out[i] = y[i] + h6 * ((k1[i] + T(2) * k2[i]) + (T(2) * k3[i] + k4[i]));
-  }
-}
-
-template <typename T>
-void AxpyRows(const TensorT<T>& y, const TensorT<T>& k,
-              const std::vector<Scalar>& h, Scalar h_factor, Index a, Index d,
-              TensorT<T>* out) {
-  for (Index i = 0; i < a; ++i)
-    AxpyRowT<T>(d, y.data() + i * d, k.data() + i * d,
-                h_factor * h[static_cast<std::size_t>(i)], out->data() + i * d);
-}
-
-}  // namespace
 
 void AppendSegment(RowPlan* plan, Scalar t0, Scalar t1, Scalar step) {
   if (t0 == t1) return;
@@ -77,9 +27,9 @@ void AppendCheckpoint(RowPlan* plan, Index tag) {
 }
 
 template <typename T>
-void LockstepIntegrateT(const std::vector<RowPlan>& plans, DiffMethod method,
-                        const BatchedRhsT<T>& rhs,
-                        const LockstepEventFnT<T>& on_event, TensorT<T>* y) {
+void LockstepIntegrate(const std::vector<RowPlan>& plans, DiffMethod method,
+                       const BatchedRhsT<T>& rhs,
+                       const LockstepEventFn& on_event, Tensor* y) {
   const Index b = static_cast<Index>(plans.size());
   DIFFODE_CHECK_EQ(y->rows(), b);
   const Index d = y->cols();
@@ -88,9 +38,45 @@ void LockstepIntegrateT(const std::vector<RowPlan>& plans, DiffMethod method,
 
   std::vector<LockstepEvent> events;
   std::vector<Index> active;
-  std::vector<Scalar> t0, h;
-  TensorT<T> packed, k1, k2, k3, k4;
-  StageBuffers<T> bufs;
+  std::vector<Scalar> t0, h, tt;
+  Tensor packed, stage;
+  TensorT<T> narrow, k1, k2, k3, k4;
+
+  // The RHS on an f64 stage state: passed through at T = double, narrowed
+  // into the reused `narrow` buffer otherwise.
+  const auto eval = [&](const std::vector<Scalar>& t,
+                        const Tensor& state) -> TensorT<T> {
+    if constexpr (std::is_same_v<T, Scalar>) {
+      return rhs(active, t, state);
+    } else {
+      if (narrow.numel() != state.numel())
+        narrow = TensorT<T>::Uninit(state.shape());
+      const Scalar* s = state.data();
+      T* dst = narrow.data();
+      for (Index i = 0; i < state.numel(); ++i) dst[i] = static_cast<T>(s[i]);
+      return rhs(active, t, narrow);
+    }
+  };
+  // out[i] = y[i] + k[i] * (factor * h_row) in f64 — AxpyForward's
+  // expression, with k widened on the fly.
+  const auto axpy_rows = [&h](const Tensor& yv, const TensorT<T>& k,
+                              Scalar factor, Index a, Index d, Tensor* out) {
+    for (Index i = 0; i < a; ++i) {
+      const Scalar hi = factor * h[static_cast<std::size_t>(i)];
+      const Scalar* yr = yv.data() + i * d;
+      const T* kr = k.data() + i * d;
+      Scalar* o = out->data() + i * d;
+      for (Index j = 0; j < d; ++j)
+        o[j] = yr[j] + static_cast<Scalar>(kr[j]) * hi;
+    }
+  };
+  // Stage times t0 + factor * h per row.
+  const auto stage_times = [&](Scalar factor, Index a) {
+    tt.resize(static_cast<std::size_t>(a));
+    for (Index i = 0; i < a; ++i)
+      tt[static_cast<std::size_t>(i)] = t0[static_cast<std::size_t>(i)] +
+                                        factor * h[static_cast<std::size_t>(i)];
+  };
 
   for (;;) {
     // Fire due checkpoints first — one per row per wave, so several
@@ -126,178 +112,50 @@ void LockstepIntegrateT(const std::vector<RowPlan>& plans, DiffMethod method,
     }
     if (active.empty()) return;
     const Index a = static_cast<Index>(active.size());
-    packed = TensorT<T>::Uninit(Shape{a, d});
+    packed = Tensor::Uninit(Shape{a, d});
     kernels::SelectRows(a, d, active.data(), y->data(), packed.data());
 
     // One step per active row, same stage structure and stage-time
     // expressions as the per-sequence EulerStep/MidpointStep/Rk4Step.
-    bufs.tt.resize(static_cast<std::size_t>(a));
     switch (method) {
       case DiffMethod::kEuler: {
-        k1 = rhs(active, t0, packed);
-        AxpyRows<T>(packed, k1, h, 1.0, a, d, &packed);
-        break;
-      }
-      case DiffMethod::kMidpoint: {
-        k1 = rhs(active, t0, packed);
-        bufs.stage = TensorT<T>::Uninit(Shape{a, d});
-        AxpyRows<T>(packed, k1, h, 0.5, a, d, &bufs.stage);
-        for (Index i = 0; i < a; ++i)
-          bufs.tt[static_cast<std::size_t>(i)] =
-              t0[static_cast<std::size_t>(i)] +
-              0.5 * h[static_cast<std::size_t>(i)];
-        k2 = rhs(active, bufs.tt, bufs.stage);
-        AxpyRows<T>(packed, k2, h, 1.0, a, d, &packed);
-        break;
-      }
-      case DiffMethod::kRk4: {
-        k1 = rhs(active, t0, packed);
-        bufs.stage = TensorT<T>::Uninit(Shape{a, d});
-        AxpyRows<T>(packed, k1, h, 0.5, a, d, &bufs.stage);
-        for (Index i = 0; i < a; ++i)
-          bufs.tt[static_cast<std::size_t>(i)] =
-              t0[static_cast<std::size_t>(i)] +
-              0.5 * h[static_cast<std::size_t>(i)];
-        k2 = rhs(active, bufs.tt, bufs.stage);
-        AxpyRows<T>(packed, k2, h, 0.5, a, d, &bufs.stage);
-        k3 = rhs(active, bufs.tt, bufs.stage);
-        AxpyRows<T>(packed, k3, h, 1.0, a, d, &bufs.stage);
-        for (Index i = 0; i < a; ++i)
-          bufs.tt[static_cast<std::size_t>(i)] =
-              t0[static_cast<std::size_t>(i)] + h[static_cast<std::size_t>(i)];
-        k4 = rhs(active, bufs.tt, bufs.stage);
-        for (Index i = 0; i < a; ++i)
-          Rk4CombineRowT<T>(d, packed.data() + i * d, k1.data() + i * d,
-                            k2.data() + i * d, k3.data() + i * d,
-                            k4.data() + i * d, h[static_cast<std::size_t>(i)],
-                            packed.data() + i * d);
-        break;
-      }
-    }
-    kernels::ScatterRows(a, d, active.data(), packed.data(), y->data());
-    for (Index r : active) ++steps_done[static_cast<std::size_t>(r)];
-  }
-}
-
-void LockstepIntegrateMixed(const std::vector<RowPlan>& plans,
-                            DiffMethod method, const BatchedRhsT<float>& rhs,
-                            const LockstepEventFnT<Scalar>& on_event,
-                            Tensor* y) {
-  const Index b = static_cast<Index>(plans.size());
-  DIFFODE_CHECK_EQ(y->rows(), b);
-  const Index d = y->cols();
-  std::vector<Index> steps_done(static_cast<std::size_t>(b), 0);
-  std::vector<std::size_t> next_cp(static_cast<std::size_t>(b), 0);
-
-  std::vector<LockstepEvent> events;
-  std::vector<Index> active;
-  std::vector<Scalar> t0, h, tt;
-  Tensor packed, stage;
-  Tensor32 narrow32, k1, k2, k3, k4;
-
-  // Narrow an f64 stage state into the reused f32 RHS operand.
-  const auto narrow = [&narrow32](const Tensor& src) -> const Tensor32& {
-    if (narrow32.numel() != src.numel())
-      narrow32 = Tensor32::Uninit(src.shape());
-    const Scalar* s = src.data();
-    float* dst = narrow32.data();
-    for (Index i = 0; i < src.numel(); ++i)
-      dst[i] = static_cast<float>(s[i]);
-    return narrow32;
-  };
-  // out[i] = y[i] + widen(k[i]) * (factor * h_row), accumulated in f64.
-  const auto axpy_rows = [&h](const Tensor& yv, const Tensor32& k,
-                              Scalar factor, Index a, Index d, Tensor* out) {
-    for (Index i = 0; i < a; ++i) {
-      const Scalar hi = factor * h[static_cast<std::size_t>(i)];
-      const Scalar* yr = yv.data() + i * d;
-      const float* kr = k.data() + i * d;
-      Scalar* o = out->data() + i * d;
-      for (Index j = 0; j < d; ++j)
-        o[j] = yr[j] + static_cast<Scalar>(kr[j]) * hi;
-    }
-  };
-
-  for (;;) {
-    for (;;) {
-      events.clear();
-      for (Index r = 0; r < b; ++r) {
-        const auto& cps = plans[static_cast<std::size_t>(r)].checkpoints;
-        std::size_t& cp = next_cp[static_cast<std::size_t>(r)];
-        if (cp < cps.size() &&
-            cps[cp].after_steps == steps_done[static_cast<std::size_t>(r)]) {
-          events.push_back(LockstepEvent{r, cps[cp].tag});
-          ++cp;
-        }
-      }
-      if (events.empty()) break;
-      on_event(events, y);
-    }
-
-    active.clear();
-    t0.clear();
-    h.clear();
-    for (Index r = 0; r < b; ++r) {
-      const auto& steps = plans[static_cast<std::size_t>(r)].steps;
-      const Index done = steps_done[static_cast<std::size_t>(r)];
-      if (done < static_cast<Index>(steps.size())) {
-        active.push_back(r);
-        t0.push_back(steps[static_cast<std::size_t>(done)].t);
-        h.push_back(steps[static_cast<std::size_t>(done)].h);
-      }
-    }
-    if (active.empty()) return;
-    const Index a = static_cast<Index>(active.size());
-    packed = Tensor::Uninit(Shape{a, d});
-    kernels::SelectRows(a, d, active.data(), y->data(), packed.data());
-
-    tt.resize(static_cast<std::size_t>(a));
-    switch (method) {
-      case DiffMethod::kEuler: {
-        k1 = rhs(active, t0, narrow(packed));
+        k1 = eval(t0, packed);
         axpy_rows(packed, k1, 1.0, a, d, &packed);
         break;
       }
       case DiffMethod::kMidpoint: {
-        k1 = rhs(active, t0, narrow(packed));
+        k1 = eval(t0, packed);
         stage = Tensor::Uninit(Shape{a, d});
         axpy_rows(packed, k1, 0.5, a, d, &stage);
-        for (Index i = 0; i < a; ++i)
-          tt[static_cast<std::size_t>(i)] = t0[static_cast<std::size_t>(i)] +
-                                            0.5 * h[static_cast<std::size_t>(i)];
-        k2 = rhs(active, tt, narrow(stage));
+        stage_times(0.5, a);
+        k2 = eval(tt, stage);
         axpy_rows(packed, k2, 1.0, a, d, &packed);
         break;
       }
       case DiffMethod::kRk4: {
-        k1 = rhs(active, t0, narrow(packed));
+        k1 = eval(t0, packed);
         stage = Tensor::Uninit(Shape{a, d});
         axpy_rows(packed, k1, 0.5, a, d, &stage);
-        for (Index i = 0; i < a; ++i)
-          tt[static_cast<std::size_t>(i)] = t0[static_cast<std::size_t>(i)] +
-                                            0.5 * h[static_cast<std::size_t>(i)];
-        k2 = rhs(active, tt, narrow(stage));
+        stage_times(0.5, a);
+        k2 = eval(tt, stage);
         axpy_rows(packed, k2, 0.5, a, d, &stage);
-        k3 = rhs(active, tt, narrow(stage));
+        k3 = eval(tt, stage);
         axpy_rows(packed, k3, 1.0, a, d, &stage);
-        for (Index i = 0; i < a; ++i)
-          tt[static_cast<std::size_t>(i)] = t0[static_cast<std::size_t>(i)] +
-                                            h[static_cast<std::size_t>(i)];
-        k4 = rhs(active, tt, narrow(stage));
+        stage_times(1.0, a);
+        k4 = eval(tt, stage);
+        // Rk4CombineForward's expression, k widened on the fly.
         for (Index i = 0; i < a; ++i) {
           const Scalar h6 = h[static_cast<std::size_t>(i)] / 6.0;
-          const Scalar* yr = packed.data() + i * d;
-          const float* a1 = k1.data() + i * d;
-          const float* a2 = k2.data() + i * d;
-          const float* a3 = k3.data() + i * d;
-          const float* a4 = k4.data() + i * d;
           Scalar* o = packed.data() + i * d;
+          const T* a1 = k1.data() + i * d;
+          const T* a2 = k2.data() + i * d;
+          const T* a3 = k3.data() + i * d;
+          const T* a4 = k4.data() + i * d;
           for (Index j = 0; j < d; ++j)
-            o[j] = yr[j] +
-                   h6 * ((static_cast<Scalar>(a1[j]) +
-                          2.0 * static_cast<Scalar>(a2[j])) +
-                         (2.0 * static_cast<Scalar>(a3[j]) +
-                          static_cast<Scalar>(a4[j])));
+            o[j] = o[j] + h6 * ((static_cast<Scalar>(a1[j]) +
+                                 2.0 * static_cast<Scalar>(a2[j])) +
+                                (2.0 * static_cast<Scalar>(a3[j]) +
+                                 static_cast<Scalar>(a4[j])));
         }
         break;
       }
@@ -307,12 +165,11 @@ void LockstepIntegrateMixed(const std::vector<RowPlan>& plans,
   }
 }
 
-template void LockstepIntegrateT<Scalar>(  // dtype:ok — f64 default engine
-    const std::vector<RowPlan>&, DiffMethod, const BatchedRhsT<Scalar>&,
-    const LockstepEventFnT<Scalar>&, Tensor*);
-template void LockstepIntegrateT<float>(const std::vector<RowPlan>&,
-                                        DiffMethod, const BatchedRhsT<float>&,
-                                        const LockstepEventFnT<float>&,
-                                        Tensor32*);
+template void LockstepIntegrate<Scalar>(const std::vector<RowPlan>&,
+                                        DiffMethod, const BatchedRhsT<Scalar>&,
+                                        const LockstepEventFn&, Tensor*);
+template void LockstepIntegrate<float>(const std::vector<RowPlan>&,
+                                       DiffMethod, const BatchedRhsT<float>&,
+                                       const LockstepEventFn&, Tensor*);
 
 }  // namespace diffode::ode

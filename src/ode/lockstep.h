@@ -15,12 +15,10 @@
 // the exact (t, h) sequence IntegrateVar would produce for that sequence
 // (AppendSegment replays the integrator's stop rule and last-step clamping).
 // The engine batches only across rows; it never inserts another row's time
-// as a stop point. Per-row stage updates go through the same range functions
-// as the per-sequence unroll (ag::detail::AxpyForward / Rk4CombineForward),
-// and row packing/unpacking is a pure copy, so a row's trajectory differs
-// from its per-sequence run only through the RHS's batched GEMM shapes
-// (m = active rows instead of m = 1) — within ~1e-15 relative at B > 1,
-// bitwise identical at B = 1 (see tests/batched_equiv_test.cc).
+// as a stop point. Per-row stage updates use the same expressions as the
+// per-sequence unroll, and row packing/unpacking is a pure copy, so a row's
+// trajectory differs from its per-sequence run only through the RHS
+// (tests/batched_equiv_test.cc states each engine's bound).
 namespace diffode::ode {
 
 // One integration step of a row: advance from local time t by h.
@@ -53,9 +51,9 @@ void AppendCheckpoint(RowPlan* plan, Index tag);
 
 // RHS over the packed active rows. `rows[i]` is the batch row stored at row i
 // of `y_active` (a x d); `t[i]` is that row's current stage time. Returns the
-// a x d derivative block. Plans and stage times stay f64 for every state
-// dtype: the timeline replay must be bit-identical across precisions so an
-// f32 engine reuses the exact f64 step grids.
+// a x d derivative block in the RHS dtype T. Plans and stage times stay f64
+// for every T: the timeline replay is bit-identical across precisions, so an
+// f32 RHS integrates the exact f64 step grids.
 template <typename T>
 using BatchedRhsT = std::function<TensorT<T>(const std::vector<Index>& rows,
                                              const std::vector<Scalar>& t,
@@ -68,54 +66,37 @@ struct LockstepEvent {
   Index tag;
 };
 
-// Handles a wave of due checkpoints. `y` is the full B x d state; the
+// Handles a wave of due checkpoints. `y` is the full B x d f64 state; the
 // handler may overwrite rows (jumps) or just read them (readouts). Within
 // one wave each row appears at most once; a row with several checkpoints at
 // the same step index receives them in tag order across successive waves.
-template <typename T>
-using LockstepEventFnT =
-    std::function<void(const std::vector<LockstepEvent>& events,
-                       TensorT<T>* y)>;
-using LockstepEventFn = LockstepEventFnT<Scalar>;
+using LockstepEventFn =
+    std::function<void(const std::vector<LockstepEvent>& events, Tensor* y)>;
 
 // Advances every row through its plan. `y` holds one row per plan; rows
 // whose plans end early simply stop participating. `on_event` may be empty
-// only if no plan has checkpoints. The f64 instantiation combines stages
-// through the per-sequence integrator's exact range functions
-// (ag::detail::AxpyForward / Rk4CombineForward); the f32 instantiation runs
-// the same expressions at float precision with each row's f64 step size
-// rounded once to float.
+// only if no plan has checkpoints.
+//
+// The carried state, the stage combines and the step sizes are f64 for
+// every RHS dtype: the per-step accumulate y += h·Σ bᵢkᵢ is a rounding
+// injection point that ill-conditioned dynamics amplify. At T = double the
+// RHS sees the stage state itself and the combines are the per-sequence
+// integrator's expressions (ag::detail::AxpyForward / Rk4CombineForward),
+// so a row's trajectory differs from its per-sequence run only through the
+// RHS. At T = float the stage state is narrowed once per stage into a
+// reused buffer and the f32 derivative is widened inside the f64 combines.
 template <typename T>
-void LockstepIntegrateT(const std::vector<RowPlan>& plans, DiffMethod method,
-                        const BatchedRhsT<T>& rhs,
-                        const LockstepEventFnT<T>& on_event, TensorT<T>* y);
+void LockstepIntegrate(const std::vector<RowPlan>& plans, DiffMethod method,
+                       const BatchedRhsT<T>& rhs,
+                       const LockstepEventFn& on_event, Tensor* y);
 
-extern template void LockstepIntegrateT<Scalar>(  // dtype:ok — f64 default
+extern template void LockstepIntegrate<Scalar>(
     const std::vector<RowPlan>&, DiffMethod, const BatchedRhsT<Scalar>&,
-    const LockstepEventFnT<Scalar>&, Tensor*);
-extern template void LockstepIntegrateT<float>(
-    const std::vector<RowPlan>&, DiffMethod, const BatchedRhsT<float>&,
-    const LockstepEventFnT<float>&, Tensor32*);
-
-// Mixed-precision lockstep for the f32 serving tier: the carried state, the
-// stage combines, and the step sizes stay f64 — the per-step accumulate is
-// a rounding injection point that stiff/ill-conditioned dynamics amplify —
-// while the RHS is evaluated in f32 on a state narrowed once per stage into
-// a reused buffer. The f32 derivative is widened inside the f64 combines
-// (no intermediate tensor), so the only per-stage overhead over the pure
-// f32 instantiation is the narrow copy.
-void LockstepIntegrateMixed(const std::vector<RowPlan>& plans,
-                            DiffMethod method, const BatchedRhsT<float>& rhs,
-                            const LockstepEventFnT<Scalar>& on_event,
-                            Tensor* y);
-
-// Non-template f64 entry point kept for the existing engines
-// (diffode_batched.cc, baselines/jump_ode_base.cc).
-inline void LockstepIntegrate(const std::vector<RowPlan>& plans,
-                              DiffMethod method, const BatchedRhs& rhs,
-                              const LockstepEventFn& on_event, Tensor* y) {
-  LockstepIntegrateT<Scalar>(plans, method, rhs, on_event, y);
-}
+    const LockstepEventFn&, Tensor*);
+extern template void LockstepIntegrate<float>(const std::vector<RowPlan>&,
+                                              DiffMethod,
+                                              const BatchedRhsT<float>&,
+                                              const LockstepEventFn&, Tensor*);
 
 }  // namespace diffode::ode
 

@@ -10,6 +10,7 @@
 #include "core/diffode_model.h"
 #include "core/parallel.h"
 #include "data/generators.h"
+#include "data/sequence_batch.h"
 #include "tensor/buffer_pool.h"
 #include "train/trainer.h"
 
@@ -208,6 +209,68 @@ TEST(AllocStatsTest, ArenaAndPoolAreBitwiseEquivalent) {
   ExpectBitwiseEqual(fast1, fast4);
   ExpectBitwiseEqual(fast1, slow4);
   parallel::ThreadPool::SetNumThreads(prev_threads);
+}
+
+struct ServeOutcome {
+  Tensor logits;
+  std::vector<std::vector<Tensor>> preds;
+  AllocStats::Snapshot warm;  // counters of the second (warm) flush
+};
+
+// Two engine flushes (classification + regression) of one batch on a model
+// frozen at `precision`; the second one's counters are the warm ones.
+ServeOutcome ServeTwice(Precision precision) {
+  const data::Dataset ds = TinyDataset();
+  std::vector<const data::IrregularSeries*> ptrs;
+  std::vector<std::vector<Scalar>> times;
+  for (const auto& s : ds.train) {
+    ptrs.push_back(&s);
+    times.push_back({s.times.front() - 0.2, s.times.back() + 0.5});
+  }
+  const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+  core::DiffOde model(TinyConfig());
+  model.Freeze(precision);
+  ServeOutcome out;
+  for (int pass = 0; pass < 2; ++pass) {
+    const AllocStats::Snapshot before = AllocStats::Read();
+    out.logits = model.ClassifyLogitsBatched(batch);
+    out.preds = model.PredictAtBatched(batch, times);
+    out.warm = AllocStats::Delta(before, AllocStats::Read());
+  }
+  return out;
+}
+
+// The serving contract: the lockstep engine opens its own pool scope, so a
+// warm flush takes nothing from the heap outside the pool, at either
+// precision. One pool thread keeps every allocation on the calling thread.
+TEST(AllocStatsTest, WarmEngineFlushHasZeroPoolBypass) {
+  parallel::ThreadPool::SetNumThreads(1);
+  for (Precision precision : {Precision::kF64, Precision::kF32}) {
+    const ServeOutcome out = ServeTwice(precision);
+    EXPECT_EQ(out.warm.pool_bypass, 0u) << PrecisionName(precision);
+    EXPECT_GT(out.warm.pool_hits, 0u) << PrecisionName(precision);
+  }
+  parallel::ThreadPool::SetNumThreads(0);
+}
+
+// The pool changes where engine buffers live, never the served numbers.
+TEST(AllocStatsTest, EngineOutputsAreBitwiseWithPoolDisabled) {
+  parallel::ThreadPool::SetNumThreads(1);
+  for (Precision precision : {Precision::kF64, Precision::kF32}) {
+    const ServeOutcome pooled = ServeTwice(precision);
+    tensor::BufferPool::SetEnabled(false);
+    const ServeOutcome heap = ServeTwice(precision);
+    tensor::BufferPool::SetEnabled(true);
+    ASSERT_TRUE(pooled.logits.shape() == heap.logits.shape());
+    for (Index i = 0; i < pooled.logits.numel(); ++i)
+      EXPECT_EQ(pooled.logits[i], heap.logits[i]);
+    ASSERT_EQ(pooled.preds.size(), heap.preds.size());
+    for (std::size_t r = 0; r < pooled.preds.size(); ++r)
+      for (std::size_t k = 0; k < pooled.preds[r].size(); ++k)
+        for (Index j = 0; j < pooled.preds[r][k].numel(); ++j)
+          EXPECT_EQ(pooled.preds[r][k][j], heap.preds[r][k][j]);
+  }
+  parallel::ThreadPool::SetNumThreads(0);
 }
 
 }  // namespace

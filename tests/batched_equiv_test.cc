@@ -1,8 +1,10 @@
 // Lockstep batched execution (core/batched_model.h) vs the per-sequence
 // path: random irregular grids, B in {1, 3, 8}, both kernel backends, 1 and
-// 4 threads. Batched results must match per-sequence within 1e-10 relative;
-// at B = 1 every kernel call collapses to the per-sequence shape and the
-// match must be bitwise.
+// 4 threads. Batched results must match per-sequence within 1e-10 relative.
+// At B = 1 ODE-RNN and GRU-D collapse to the per-sequence op chains and must
+// match bitwise; DIFFODE's engine fuses the DHS recoveries into raw loops
+// (diffode_lockstep.cc), so its B = 1 rows are held to kDiffOdeB1Bound
+// instead. Engine outputs are bitwise identical at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "core/diffode_model.h"
 #include "core/parallel.h"
 #include "data/generators.h"
+#include "ode/diff_integrator.h"
 #include "data/sequence_batch.h"
 #include "tensor/random.h"
 #include "tensor/simd.h"
@@ -56,10 +59,20 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b, const char* what) {
   }
 }
 
-void ExpectClose(const Tensor& a, const Tensor& b, const char* what) {
+// Batched vs per-sequence bound at B > 1 (every native engine).
+constexpr Scalar kBatchedBound = 1e-10;
+// DIFFODE at B = 1: the engine's fused recoveries round differently from
+// the autograd op chains (measured up to ~1e-14 relative on these untrained
+// weights), so the contract is a bound, two orders below the B > 1 one,
+// instead of bitwise.
+constexpr Scalar kDiffOdeB1Bound = 1e-12;
+
+// |a - b| <= bound * max(1, |b|) per element.
+void ExpectClose(const Tensor& a, const Tensor& b, const char* what,
+                 Scalar bound = kBatchedBound) {
   ASSERT_TRUE(a.shape() == b.shape()) << what;
   for (Index i = 0; i < a.numel(); ++i) {
-    const Scalar tol = 1e-10 * std::max(1.0, std::fabs(b[i]));
+    const Scalar tol = bound * std::max(1.0, std::fabs(b[i]));
     EXPECT_NEAR(a[i], b[i], tol) << what << " i=" << i;
   }
 }
@@ -137,9 +150,10 @@ baselines::BaselineConfig SmallBaselineConfig() {
 }
 
 // Compares the batched forwards of `model` against its per-sequence path on
-// a B-sequence batch. Bitwise at B = 1, 1e-10 relative otherwise.
+// a B-sequence batch: kBatchedBound at B > 1; at B = 1 within `b1_bound`,
+// or bitwise when it is 0.
 void CheckModel(core::SequenceModel* model, Index b, std::uint64_t seed,
-                bool expect_native) {
+                bool expect_native, Scalar b1_bound = 0.0) {
   const std::vector<data::IrregularSeries> series = MakeBatchSeries(b, seed);
   std::vector<const data::IrregularSeries*> ptrs;
   for (const auto& s : series) ptrs.push_back(&s);
@@ -157,22 +171,24 @@ void CheckModel(core::SequenceModel* model, Index b, std::uint64_t seed,
     const data::IrregularSeries& s = series[static_cast<std::size_t>(r)];
     const Tensor ref_logits = model->ClassifyLogits(s).value();
     (void)model->TakeAuxiliaryLoss();
-    if (b == 1) {
+    if (b == 1 && b1_bound == 0.0) {
       ExpectBitwiseEqual(logits.Row(r), ref_logits, "logits");
     } else {
-      ExpectClose(logits.Row(r), ref_logits, "logits");
+      ExpectClose(logits.Row(r), ref_logits, "logits",
+                  b == 1 ? b1_bound : kBatchedBound);
     }
     const std::vector<ag::Var> ref_preds =
         model->PredictAt(s, times[static_cast<std::size_t>(r)]);
     (void)model->TakeAuxiliaryLoss();
     ASSERT_EQ(preds[static_cast<std::size_t>(r)].size(), ref_preds.size());
     for (std::size_t k = 0; k < ref_preds.size(); ++k) {
-      if (b == 1) {
+      if (b == 1 && b1_bound == 0.0) {
         ExpectBitwiseEqual(preds[static_cast<std::size_t>(r)][k],
                            ref_preds[k].value(), "pred");
       } else {
         ExpectClose(preds[static_cast<std::size_t>(r)][k],
-                    ref_preds[k].value(), "pred");
+                    ref_preds[k].value(), "pred",
+                    b == 1 ? b1_bound : kBatchedBound);
       }
     }
   }
@@ -221,14 +237,61 @@ TEST(BatchedEquivTest, DiffOdeMatchesPerSequence) {
     for (int threads : {1, 4}) {
       ThreadCountGuard tg(threads);
       core::DiffOde model(SmallConfig());
-      for (Index b : {1, 3, 8}) CheckModel(&model, b, 100 + b, true);
+      for (Index b : {1, 3, 8})
+        CheckModel(&model, b, 100 + b, true, kDiffOdeB1Bound);
+    }
+  }
+}
+
+TEST(BatchedEquivTest, DiffOdeEulerAndRk4MatchPerSequence) {
+  // The default scheme is midpoint; the engine's Euler and RK4 branches
+  // replay the same stage structure as the per-sequence steppers.
+  for (ode::DiffMethod method : {ode::DiffMethod::kEuler, ode::DiffMethod::kRk4}) {
+    core::DiffOde model(SmallConfig());
+    model.set_diff_method(method);
+    for (Index b : {1, 3, 8})
+      CheckModel(&model, b, 150 + b, true, kDiffOdeB1Bound);
+  }
+}
+
+struct EngineOutputs {
+  Tensor logits;
+  std::vector<std::vector<Tensor>> preds;
+};
+
+EngineOutputs RunEngine(core::DiffOde* model, int threads) {
+  ThreadCountGuard tg(threads);
+  const std::vector<data::IrregularSeries> series = MakeBatchSeries(40, 60);
+  std::vector<const data::IrregularSeries*> ptrs;
+  for (const auto& s : series) ptrs.push_back(&s);
+  const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+  EngineOutputs out;
+  out.logits = model->ClassifyLogitsBatched(batch);
+  out.preds = model->PredictAtBatched(batch, MakeQueryTimes(series));
+  return out;
+}
+
+TEST(BatchedEquivTest, DiffOdeEngineIsBitwiseAcrossThreadCounts) {
+  // B = 40 spans several recovery chunks, so at 4 threads the per-row passes
+  // really fan out; both precisions must give the same bits as 1 thread.
+  for (Precision precision : {Precision::kF64, Precision::kF32}) {
+    core::DiffOde model(SmallConfig());
+    model.Freeze(precision);
+    const EngineOutputs one = RunEngine(&model, 1);
+    const EngineOutputs four = RunEngine(&model, 4);
+    ExpectBitwiseEqual(one.logits, four.logits, "logits");
+    ASSERT_EQ(one.preds.size(), four.preds.size());
+    for (std::size_t r = 0; r < one.preds.size(); ++r) {
+      ASSERT_EQ(one.preds[r].size(), four.preds[r].size());
+      for (std::size_t k = 0; k < one.preds[r].size(); ++k)
+        ExpectBitwiseEqual(one.preds[r][k], four.preds[r][k], "pred");
     }
   }
 }
 
 TEST(BatchedEquivTest, DiffOdeVariantsMatchPerSequence) {
   // Strategy / head / encoder / attention variants, one pass each at B = 3
-  // (and B = 1 for the bitwise guarantee) on the active backend.
+  // and B = 1 on the active backend.
   std::vector<core::DiffOdeConfig> configs;
   {
     core::DiffOdeConfig c = SmallConfig();
@@ -263,8 +326,8 @@ TEST(BatchedEquivTest, DiffOdeVariantsMatchPerSequence) {
   std::uint64_t seed = 300;
   for (const core::DiffOdeConfig& config : configs) {
     core::DiffOde model(config);
-    CheckModel(&model, 1, seed += 17, true);
-    CheckModel(&model, 3, seed += 17, true);
+    CheckModel(&model, 1, seed += 17, true, kDiffOdeB1Bound);
+    CheckModel(&model, 3, seed += 17, true, kDiffOdeB1Bound);
   }
 }
 

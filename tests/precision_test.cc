@@ -1,5 +1,6 @@
-// The f32 serving tier (Freeze(Precision::kF32) + diffode_f32.cc) vs the
-// f64 engine, across the DIFFODE variant zoo. Both models serve the SAME
+// The f32 serving tier (Freeze(Precision::kF32), LockstepEngine<float> in
+// diffode_lockstep.cc) vs the f64 engine, across the DIFFODE variant zoo
+// and the three fixed-step schemes. Both models serve the SAME
 // f32-representable checkpoint (Freeze(kF32) rounds the parameters in
 // place before the snapshot, and the rounded weights are copied into the
 // f64 reference), so every difference below is pure compute precision:
@@ -32,6 +33,7 @@
 #include "core/diffode_model.h"
 #include "data/generators.h"
 #include "data/sequence_batch.h"
+#include "ode/diff_integrator.h"
 #include "tensor/random.h"
 #include "train/trainer.h"
 
@@ -326,6 +328,62 @@ TEST(PrecisionTest, ZooPredictionsAgreeWithF64) {
   EXPECT_LE(quantile(0.5), 1e-4) << "median per-readout relative deviation";
   EXPECT_LE(quantile(0.9), 1e-3) << "p90 per-readout relative deviation";
   EXPECT_LE(rel_errs.back(), 5e-2) << "worst per-readout relative deviation";
+}
+
+// Max-abs deviation of `got` from `ref`, relative to max(1, max |ref|).
+Scalar RelDeviation(const Tensor& got, const Tensor& ref) {
+  Scalar num = 0.0, den = 1.0;
+  for (Index j = 0; j < ref.numel(); ++j) {
+    num = std::max(num, std::fabs(got[j] - ref[j]));
+    den = std::max(den, std::fabs(ref[j]));
+  }
+  return num / den;
+}
+
+// The engine's Euler and RK4 branches (the zoo above runs the default
+// midpoint scheme) under the same tiers: logits and regression readouts of
+// one trained checkpoint, f32 vs f64, per scheme.
+TEST(PrecisionTest, EulerAndRk4AgreeWithF64) {
+  std::unique_ptr<core::DiffOde> m64, m32;
+  MakeTrainedServingPair(TrainableConfig(), &m64, &m32);
+  const std::vector<const data::IrregularSeries*> ptrs = ZooBatchPtrs(16);
+  const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+  std::vector<std::vector<Scalar>> times;
+  for (const data::IrregularSeries* s : ptrs) {
+    const Scalar lo = s->times.front(), hi = s->times.back();
+    times.push_back({lo - 0.4, 0.5 * (lo + hi), hi + 0.7});
+  }
+  for (ode::DiffMethod method :
+       {ode::DiffMethod::kEuler, ode::DiffMethod::kRk4}) {
+    m64->set_diff_method(method);
+    m32->set_diff_method(method);
+    std::vector<Scalar> logit_errs, pred_errs;
+    const Tensor ref = m64->ClassifyLogitsBatched(batch);
+    const Tensor got = m32->ClassifyLogitsBatched(batch);
+    ASSERT_TRUE(ref.shape() == got.shape());
+    for (Index r = 0; r < ref.rows(); ++r)
+      logit_errs.push_back(RelDeviation(got.Row(r), ref.Row(r)));
+    const auto ref_preds = m64->PredictAtBatched(batch, times);
+    const auto got_preds = m32->PredictAtBatched(batch, times);
+    for (std::size_t r = 0; r < ref_preds.size(); ++r)
+      for (std::size_t k = 0; k < ref_preds[r].size(); ++k) {
+        EXPECT_TRUE(got_preds[r][k].AllFinite());
+        pred_errs.push_back(RelDeviation(got_preds[r][k], ref_preds[r][k]));
+      }
+    for (std::vector<Scalar>* errs : {&logit_errs, &pred_errs})
+      std::sort(errs->begin(), errs->end());
+    const auto quantile = [](const std::vector<Scalar>& errs, double q) {
+      return errs[static_cast<std::size_t>(
+          q * static_cast<double>(errs.size() - 1))];
+    };
+    const int m = static_cast<int>(method);
+    EXPECT_LE(quantile(logit_errs, 0.5), 1e-4) << "logits median, method " << m;
+    EXPECT_LE(quantile(logit_errs, 0.9), 5e-3) << "logits p90, method " << m;
+    EXPECT_LE(logit_errs.back(), 1.5e-1) << "logits max, method " << m;
+    EXPECT_LE(quantile(pred_errs, 0.5), 1e-4) << "readout median, method " << m;
+    EXPECT_LE(quantile(pred_errs, 0.9), 1e-3) << "readout p90, method " << m;
+    EXPECT_LE(pred_errs.back(), 5e-2) << "readout max, method " << m;
+  }
 }
 
 }  // namespace
