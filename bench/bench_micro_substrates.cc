@@ -70,7 +70,7 @@ void BM_GemmNT(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNT)->Arg(64)->Arg(128)->Arg(256);
 
-// Fused templated-functor map vs the std::function-based Tensor::Map.
+// Fused templated-functor elementwise map.
 void BM_FusedElementwise(benchmark::State& state) {
   const Index n = state.range(0);
   Rng rng(1);
@@ -83,15 +83,6 @@ void BM_FusedElementwise(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FusedElementwise)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_TensorMapElementwise(benchmark::State& state) {
-  const Index n = state.range(0);
-  Rng rng(1);
-  Tensor x = rng.NormalTensor(Shape{n});
-  for (auto _ : state)
-    benchmark::DoNotOptimize(x.Map([](Scalar v) { return v * v + 1.0; }));
-}
-BENCHMARK(BM_TensorMapElementwise)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 // ParallelFor scaling over the thread-count axis (Arg = pool size). The work
 // is a chunked saxpy large enough to dwarf the dispatch overhead.

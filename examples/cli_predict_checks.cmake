@@ -1,13 +1,18 @@
 # End-to-end checks of `diffode_cli predict`'s input validation:
 #
 #   cmake -DCLI=<path/to/diffode_cli> -DWORK=<scratch dir> \
-#         -DCASE=<bad_at|short_series> -P cli_predict_checks.cmake
+#         -DCASE=<bad_at|short_series|bad_csv|bad_checkpoint> \
+#         -P cli_predict_checks.cmake
 #
-# bad_at:       a non-finite or unparsable --at exits non-zero and names the
-#               bad item on stderr.
-# short_series: a series with one observation is named on stderr and
-#               skipped; the other series are served, on the per-sequence
-#               and the batched path.
+# bad_at:         a non-finite or unparsable --at exits non-zero and names
+#                 the bad item on stderr.
+# short_series:   a series with one observation is named on stderr and
+#                 skipped; the other series are served, on the per-sequence
+#                 and the batched path.
+# bad_csv:        a nan/inf time or value cell exits 1 with the line and the
+#                 reason, on the per-sequence and the batched path.
+# bad_checkpoint: a checkpoint whose first rank field is corrupt exits 1
+#                 with a reason.
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -27,6 +32,17 @@ endfunction()
 function(expect_ok prefix what)
   if(NOT "${${prefix}_code}" STREQUAL "0")
     message(FATAL_ERROR "${what} failed (${${prefix}_code}): ${${prefix}_err}")
+  endif()
+endfunction()
+
+# Expects exit code 1 (not a crash) and stderr matching `reason`.
+function(expect_rejected prefix what reason)
+  if(NOT "${${prefix}_code}" STREQUAL "1")
+    message(FATAL_ERROR "${what} exited ${${prefix}_code}, want 1: "
+                        "${${prefix}_err}")
+  endif()
+  if(NOT "${${prefix}_err}" MATCHES "${reason}")
+    message(FATAL_ERROR "${what} gave no reason: ${${prefix}_err}")
   endif()
 endfunction()
 
@@ -62,6 +78,36 @@ elseif(CASE STREQUAL "short_series")
       message(FATAL_ERROR "--batch=${batch}: wrong series served:\n${p_out}")
     endif()
   endforeach()
+elseif(CASE STREQUAL "bad_csv")
+  # Each row replaces line 3 of data.csv (the second observation of
+  # series 0).
+  file(STRINGS "${WORK}/data.csv" lines)
+  list(GET lines 0 1 keep)
+  list(SUBLIST lines 3 -1 rest)
+  foreach(row "0,nan,1.0,,,,"  "0,inf,1.0,,,,"  "0,1.5,nan,,,,"
+              "0,1.5,,,,-inf,")
+    string(JOIN "\n" content ${keep} "${row}" ${rest})
+    file(WRITE "${WORK}/bad.csv" "${content}\n")
+    foreach(batch 1 4)
+      run_cli(p predict --data=bad.csv --channels=5 --latent=4
+              --load=weights.bin --at=1.0 --batch=${batch})
+      expect_rejected(p "row '${row}' --batch=${batch}"
+                      "load failed: line 3: non-finite (time|value) cell")
+    endforeach()
+  endforeach()
+elseif(CASE STREQUAL "bad_checkpoint")
+  # Header: magic (8 bytes), count (8), then the first parameter's rank.
+  # Eight spaces there read as rank 0x2020202020202020 (above 2^61).
+  file(WRITE "${WORK}/spaces.bin" "        ")
+  execute_process(COMMAND dd if=spaces.bin of=weights.bin bs=1 seek=16
+                          conv=notrunc
+                  WORKING_DIRECTORY "${WORK}"
+                  RESULT_VARIABLE dd_code OUTPUT_QUIET ERROR_QUIET)
+  if(NOT dd_code STREQUAL "0")
+    message(FATAL_ERROR "could not patch the checkpoint (dd: ${dd_code})")
+  endif()
+  run_cli(p ${predict} --at=1.0)
+  expect_rejected(p "corrupt rank" "cannot load weights from weights.bin")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

@@ -199,96 +199,6 @@ Var AddRowVec(const Var& m, const Var& v) {
   });
 }
 
-Var MulRowVec(const Var& m, const Var& v) {
-  DIFFODE_CHECK_EQ(m.cols(), v.cols());
-  DIFFODE_CHECK_EQ(v.rows(), 1);
-  Tensor out = m.value();
-  {
-    const Index r = out.rows();
-    const Index c = out.cols();
-    Scalar* o = out.data();
-    const Scalar* vv = v.value().data();
-    for (Index i = 0; i < r; ++i)
-      for (Index j = 0; j < c; ++j) o[i * c + j] *= vv[j];
-  }
-  return MakeNode(std::move(out), {&m, &v}, [](Node& n) {
-    const Tensor& mv = n.parents[0]->value;
-    const Tensor& vv = n.parents[1]->value;
-    const Index r = mv.rows();
-    const Index c = mv.cols();
-    Tensor gm = Tensor::Uninit(mv.shape());
-    Tensor gv(vv.shape());  // accumulated with +=, must start zeroed
-    const Scalar* g = n.grad.data();
-    const Scalar* mp = mv.data();
-    const Scalar* vp = vv.data();
-    Scalar* gmp = gm.data();
-    Scalar* gvp = gv.data();
-    for (Index i = 0; i < r; ++i) {
-      for (Index j = 0; j < c; ++j) {
-        const Scalar gij = g[i * c + j];
-        gmp[i * c + j] = gij * vp[j];
-        gvp[j] += gij * mp[i * c + j];
-      }
-    }
-    Accumulate(n.parents[0], gm);
-    Accumulate(n.parents[1], gv);
-  });
-}
-
-Var LayerNormRows(const Var& a, Scalar eps) {
-  const Tensor& x = a.value();
-  const Index r = x.rows();
-  const Index c = x.cols();
-  DIFFODE_CHECK_GT(c, 0);
-  Tensor y = Tensor::Uninit(x.shape());
-  Tensor inv_sigma = Tensor::Uninit(Shape{r, 1});
-  const Scalar* xp = x.data();
-  Scalar* yp = y.data();
-  for (Index i = 0; i < r; ++i) {
-    const Scalar* xi = xp + i * c;
-    Scalar* yi = yp + i * c;
-    Scalar mean = 0.0;
-    for (Index j = 0; j < c; ++j) mean += xi[j];
-    mean /= static_cast<Scalar>(c);
-    Scalar var = 0.0;
-    for (Index j = 0; j < c; ++j) {
-      const Scalar d = xi[j] - mean;
-      var += d * d;
-    }
-    var /= static_cast<Scalar>(c);
-    const Scalar inv = 1.0 / std::sqrt(var + eps);
-    inv_sigma[i] = inv;
-    for (Index j = 0; j < c; ++j) yi[j] = (xi[j] - mean) * inv;
-  }
-  return MakeNode(std::move(y), {&a}, [inv_sigma =
-                                          std::move(inv_sigma)](Node& n) {
-    // Per row: dx = (g - mean(g) - y * mean(g .* y)) * inv_sigma.
-    const Tensor& y = n.value;
-    const Index r = y.rows();
-    const Index c = y.cols();
-    Tensor gx = Tensor::Uninit(y.shape());
-    const Scalar* yp = y.data();
-    const Scalar* gp = n.grad.data();
-    Scalar* gxp = gx.data();
-    for (Index i = 0; i < r; ++i) {
-      const Scalar* yi = yp + i * c;
-      const Scalar* gi = gp + i * c;
-      Scalar* gxi = gxp + i * c;
-      Scalar g_mean = 0.0, gy_mean = 0.0;
-      for (Index j = 0; j < c; ++j) {
-        g_mean += gi[j];
-        gy_mean += gi[j] * yi[j];
-      }
-      g_mean /= static_cast<Scalar>(c);
-      gy_mean /= static_cast<Scalar>(c);
-      const Scalar inv = inv_sigma[i];
-      for (Index j = 0; j < c; ++j)
-        gxi[j] = (gi[j] - g_mean - yi[j] * gy_mean) * inv;
-    }
-    Accumulate(n.parents[0], gx);
-  });
-}
-
 Var Softmax(const Var& a) {
   const Tensor& x = a.value();
   Tensor y = Tensor::Uninit(x.shape());

@@ -36,13 +36,6 @@ Var Reshape(const Var& a, Shape shape);
 
 // Broadcast: each row of m (r x c) plus the row vector v (1 x c).
 Var AddRowVec(const Var& m, const Var& v);
-// Broadcast: each row of m (r x c) times the row vector v (1 x c).
-Var MulRowVec(const Var& m, const Var& v);
-
-// Row-wise layer normalization: each row is shifted to zero mean and
-// scaled to unit variance (y = (x - mu) / sqrt(var + eps)). Affine gain
-// and bias are composed externally via MulRowVec / AddRowVec.
-Var LayerNormRows(const Var& a, Scalar eps = 1e-5);
 
 // Row-wise softmax of a 2-D tensor.
 Var Softmax(const Var& a);

@@ -1,5 +1,6 @@
 #include "data/csv_loader.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -23,6 +24,12 @@ bool ParseScalar(const std::string& cell, Scalar* out) {
   char* end = nullptr;
   *out = std::strtod(cell.c_str(), &end);
   return end != cell.c_str() && *end == '\0';
+}
+
+// A class label: a non-negative integer small enough to convert to Index
+// exactly. Rejects nan and inf.
+bool IsLabel(Scalar l) {
+  return l >= 0.0 && l <= 9007199254740992.0 && l == std::floor(l);
 }
 
 struct RawRow {
@@ -71,9 +78,20 @@ std::vector<IrregularSeries> LoadCsv(const std::string& path,
         *error = "line " + std::to_string(line_no) + ": bad time cell";
       return {};
     }
+    if (!std::isfinite(row.time)) {
+      if (error)
+        *error = "line " + std::to_string(line_no) + ": non-finite time cell";
+      return {};
+    }
     for (Index c = 0; c < num_channels; ++c) {
       Scalar v = 0.0;
       if (ParseScalar(cells[static_cast<std::size_t>(2 + c)], &v)) {
+        if (!std::isfinite(v)) {
+          if (error)
+            *error = "line " + std::to_string(line_no) +
+                     ": non-finite value cell";
+          return {};
+        }
         row.values.push_back(v);
         row.mask.push_back(1.0);
       } else if (cells[static_cast<std::size_t>(2 + c)].empty()) {
@@ -87,9 +105,10 @@ std::vector<IrregularSeries> LoadCsv(const std::string& path,
     }
     if (has_label) {
       Scalar l = 0.0;
-      if (!ParseScalar(cells.back(), &l)) {
+      if (!ParseScalar(cells.back(), &l) || !IsLabel(l)) {
         if (error)
-          *error = "line " + std::to_string(line_no) + ": bad label cell";
+          *error = "line " + std::to_string(line_no) +
+                   ": label is not a non-negative integer";
         return {};
       }
       row.label = static_cast<Index>(l);

@@ -14,9 +14,10 @@ namespace diffode::data {
 //
 // * rows of one series must appear with non-decreasing time (rows with
 //   equal ids are grouped; ids need not be contiguous in the file),
-// * empty channel cells mean "not observed" (mask 0),
-// * the optional trailing `label` column (an integer, constant per series)
-//   turns the file into a classification dataset,
+// * time and value cells must be finite; empty channel cells mean "not
+//   observed" (mask 0),
+// * the optional trailing `label` column (a non-negative integer, constant
+//   per series) turns the file into a classification dataset,
 // * a header line is detected (non-numeric second column) and skipped.
 //
 // Returns the parsed series; on malformed input returns an empty vector and

@@ -53,16 +53,19 @@ bool LoadParams(std::vector<ag::Var>* params, const std::string& path) {
   std::vector<Tensor> staged;
   staged.reserve(params->size());
   for (const auto& p : *params) {
+    // Each size field is compared with the parameter as soon as it is read,
+    // so a corrupt header never sizes an allocation.
+    const Shape& shape = p.value().shape();
     std::uint64_t rank = 0;
-    if (!ReadU64(f.get(), &rank)) return false;
-    std::vector<Index> dims(rank);
-    for (auto& d : dims) {
-      std::uint64_t v = 0;
-      if (!ReadU64(f.get(), &v)) return false;
-      d = static_cast<Index>(v);
+    if (!ReadU64(f.get(), &rank) ||
+        rank != static_cast<std::uint64_t>(shape.rank()))
+      return false;
+    for (Index i = 0; i < shape.rank(); ++i) {
+      std::uint64_t d = 0;
+      if (!ReadU64(f.get(), &d) ||
+          d != static_cast<std::uint64_t>(shape.dim(i)))
+        return false;
     }
-    Shape shape(dims);
-    if (shape != p.value().shape()) return false;
     Tensor t(shape);
     const std::size_t n = static_cast<std::size_t>(t.numel());
     if (std::fread(t.data(), sizeof(Scalar), n, f.get()) != n) return false;

@@ -144,8 +144,8 @@ struct Exp {
 }  // namespace ops
 
 // out[i] = fn(x[i]). Templated functor dispatch: the loop body inlines the
-// functor, unlike Tensor::Map's std::function-per-element indirection.
-// The ops:: functor types divert to the vectorized maps. out may alias x.
+// functor. The ops:: functor types divert to the vectorized maps. out may
+// alias x.
 template <typename T, typename F>
 void Map(Index n, const T* x, T* out, F fn) {
   if constexpr (std::is_same_v<F, ops::Tanh>) {

@@ -105,13 +105,6 @@ bool IsaSupported(Isa isa) {
   return false;
 }
 
-Isa BestSupportedIsa() {
-  static const Isa best = IsaSupported(Isa::kAvx512) ? Isa::kAvx512
-                          : IsaSupported(Isa::kAvx2) ? Isa::kAvx2
-                                                     : Isa::kScalar;
-  return best;
-}
-
 bool SetActiveIsa(Isa isa) {
   if (!IsaSupported(isa)) return false;
   detail::g_active_isa.store(static_cast<int>(isa), std::memory_order_relaxed);

@@ -31,11 +31,6 @@ const char* IsaName(Isa isa);
 // True if this binary and this CPU can run `isa` (CPUID feature detection).
 bool IsaSupported(Isa isa);
 
-// Best ISA both this binary and this CPU support. May exceed the startup
-// default (see above): BestSupportedIsa() reports hardware truth, the
-// resolver caps auto-dispatch at kAvx2.
-Isa BestSupportedIsa();
-
 namespace detail {
 // Current ISA as an int, or -1 before first resolution. Constant-initialized
 // so the fast path of ActiveIsa() is a single relaxed load with no

@@ -106,14 +106,6 @@ TensorT<T> TensorT<T>::CwiseQuotient(const TensorT& other) const {
 }
 
 template <typename T>
-TensorT<T> TensorT<T>::Map(const std::function<T(T)>& fn) const {
-  TensorT out = *this;
-  kernels::Map(out.numel(), out.data(), out.data(),
-               [&fn](T x) { return fn(x); });
-  return out;
-}
-
-template <typename T>
 TensorT<T> TensorT<T>::MatMul(const TensorT& other) const {
   const Index m = rows();
   const Index k = cols();

@@ -2,12 +2,12 @@
 #define DIFFODE_TENSOR_TENSOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "tensor/buffer_pool.h"
 #include "tensor/check.h"
+#include "tensor/kernels.h"
 #include "tensor/shape.h"
 
 namespace diffode {
@@ -189,7 +189,12 @@ class TensorT {
   TensorT CwiseQuotient(const TensorT& other) const;
 
   // Applies fn to every element, returning a new tensor.
-  TensorT Map(const std::function<T(T)>& fn) const;
+  template <typename F>
+  TensorT Map(F fn) const {
+    TensorT out = *this;
+    kernels::Map(out.numel(), out.data(), out.data(), fn);
+    return out;
+  }
 
   // Linear algebra (2-D unless noted; rank-1 operands act as single rows).
   TensorT MatMul(const TensorT& other) const;

@@ -77,6 +77,42 @@ TEST(CsvLoaderTest, RejectsGarbageValue) {
   std::remove(path.c_str());
 }
 
+// Expects LoadCsv to reject `content` with `reason` on line 2.
+void ExpectRejectedOnLine2(const std::string& content, bool has_label,
+                           const std::string& reason) {
+  const std::string path = WriteTemp("rejected.csv", content);
+  std::string error;
+  auto series = LoadCsv(path, 1, has_label, &error);
+  EXPECT_TRUE(series.empty()) << content;
+  EXPECT_NE(error.find("line 2: " + reason), std::string::npos)
+      << content << " -> " << error;
+  std::remove(path.c_str());
+}
+
+TEST(CsvLoaderTest, RejectsNonFiniteTime) {
+  for (const char* t : {"nan", "inf", "-inf", "1e999"})
+    ExpectRejectedOnLine2("s,0.0,1.0\ns," + std::string(t) + ",2.0\n",
+                          false, "non-finite time");
+  // A non-finite time on the first line is an error, not a header.
+  const std::string path = WriteTemp("nan_first.csv", "s,nan,1.0\n");
+  std::string error;
+  EXPECT_TRUE(LoadCsv(path, 1, false, &error).empty());
+  EXPECT_NE(error.find("line 1: non-finite time"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(CsvLoaderTest, RejectsNonFiniteValue) {
+  for (const char* v : {"nan", "NaN", "inf", "-inf", "1e999"})
+    ExpectRejectedOnLine2("s,0.0,1.0\ns,1.0," + std::string(v) + "\n",
+                          false, "non-finite value");
+}
+
+TEST(CsvLoaderTest, RejectsLabelThatIsNotANonNegativeInteger) {
+  for (const char* l : {"nan", "inf", "-1", "1.5", "1e300"})
+    ExpectRejectedOnLine2("s,0.0,1.0,0\ns,1.0,2.0," + std::string(l) + "\n",
+                          true, "label is not a non-negative integer");
+}
+
 TEST(CsvLoaderTest, MissingFileReportsError) {
   std::string error;
   auto series = LoadCsv("/nonexistent/nowhere.csv", 1, false, &error);

@@ -390,18 +390,5 @@ TEST(KernelsIsaTest, EnvOverrideAndDispatchStateAreConsistent) {
   EXPECT_TRUE(simd::SetActiveIsa(active));
 }
 
-TEST(KernelsIsaTest, BestSupportedIsaOrdering) {
-  // BestSupportedIsa reports hardware truth and must be internally
-  // consistent with the IsaSupported predicate.
-  const simd::Isa best = simd::BestSupportedIsa();
-  EXPECT_TRUE(simd::IsaSupported(best));
-  if (simd::IsaSupported(simd::Isa::kAvx512))
-    EXPECT_EQ(best, simd::Isa::kAvx512);
-  else if (simd::IsaSupported(simd::Isa::kAvx2))
-    EXPECT_EQ(best, simd::Isa::kAvx2);
-  else
-    EXPECT_EQ(best, simd::Isa::kScalar);
-}
-
 }  // namespace
 }  // namespace diffode::kernels

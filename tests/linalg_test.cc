@@ -3,7 +3,6 @@
 #include "linalg/cholesky.h"
 #include "linalg/lu.h"
 #include "linalg/pinv.h"
-#include "linalg/qr.h"
 #include "linalg/svd.h"
 #include "tensor/random.h"
 
@@ -57,28 +56,6 @@ TEST(LuTest, InverseIdentity) {
   Tensor inv = Inverse(a);
   EXPECT_LT((a.MatMul(inv) - Tensor::Eye(5)).MaxAbs(), 1e-9);
   EXPECT_LT((inv.MatMul(a) - Tensor::Eye(5)).MaxAbs(), 1e-9);
-}
-
-TEST(QrTest, OrthonormalColumnsAndReconstruction) {
-  Rng rng(5);
-  Tensor a = rng.NormalTensor(Shape{8, 4});
-  QrResult qr = Qr(a);
-  Tensor qtq = qr.q.Transposed().MatMul(qr.q);
-  EXPECT_LT((qtq - Tensor::Eye(4)).MaxAbs(), 1e-10);
-  EXPECT_LT((qr.q.MatMul(qr.r) - a).MaxAbs(), 1e-10);
-  // R upper triangular.
-  for (Index i = 0; i < 4; ++i)
-    for (Index j = 0; j < i; ++j) EXPECT_EQ(qr.r.at(i, j), 0.0);
-}
-
-TEST(QrTest, LeastSquaresMatchesNormalEquations) {
-  Rng rng(6);
-  Tensor a = rng.NormalTensor(Shape{10, 3});
-  Tensor b = rng.NormalTensor(Shape{10, 1});
-  Tensor x = LeastSquares(a, b);
-  // Normal equations residual: Aᵀ(Ax - b) = 0.
-  Tensor residual = a.Transposed().MatMul(a.MatMul(x) - b);
-  EXPECT_LT(residual.MaxAbs(), 1e-9);
 }
 
 TEST(SvdTest, ReconstructionAndOrthogonality) {

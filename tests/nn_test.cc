@@ -4,7 +4,6 @@
 
 #include "autograd/ops.h"
 #include "gradcheck.h"
-#include "nn/attention.h"
 #include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
@@ -96,43 +95,6 @@ TEST(GruCellTest, GradientsReachBothWeightSets) {
   ag::Var loss = ag::Mean(ag::Square(h));
   loss.Backward();
   for (auto& p : cell.Params()) EXPECT_GT(p.grad().MaxAbs(), 0.0);
-}
-
-TEST(AttentionTest, ReducesToValueAverageForUniformLogits) {
-  // Identical keys -> uniform attention -> output is the mean of values.
-  Rng rng(9);
-  Tensor k_same(Shape{4, 2});
-  for (Index i = 0; i < 4; ++i) {
-    k_same.at(i, 0) = 1.0;
-    k_same.at(i, 1) = 2.0;
-  }
-  ag::Var q = ag::Constant(rng.NormalTensor(Shape{1, 2}));
-  ag::Var k = ag::Constant(k_same);
-  Tensor v_t = rng.NormalTensor(Shape{4, 3});
-  ag::Var v = ag::Constant(v_t);
-  ag::Var out = ScaledDotAttention(q, k, v);
-  Tensor mean = v_t.ColSums() * 0.25;
-  EXPECT_LT((out.value() - mean).MaxAbs(), 1e-12);
-}
-
-TEST(AttentionTest, MultiHeadMatchesSingleHeadWhenHeadsEqualOne) {
-  Rng rng(10);
-  ag::Var q = ag::Constant(rng.NormalTensor(Shape{2, 4}));
-  ag::Var k = ag::Constant(rng.NormalTensor(Shape{5, 4}));
-  ag::Var v = ag::Constant(rng.NormalTensor(Shape{5, 4}));
-  ag::Var one = MultiHeadAttention(q, k, v, 1);
-  ag::Var ref = ScaledDotAttention(q, k, v);
-  EXPECT_LT((one.value() - ref.value()).MaxAbs(), 1e-12);
-}
-
-TEST(AttentionTest, MultiHeadOutputShape) {
-  Rng rng(11);
-  ag::Var q = ag::Constant(rng.NormalTensor(Shape{3, 8}));
-  ag::Var k = ag::Constant(rng.NormalTensor(Shape{6, 8}));
-  ag::Var v = ag::Constant(rng.NormalTensor(Shape{6, 8}));
-  ag::Var out = MultiHeadAttention(q, k, v, 4);
-  EXPECT_EQ(out.rows(), 3);
-  EXPECT_EQ(out.cols(), 8);
 }
 
 // ---------------------------------------------------------------------------

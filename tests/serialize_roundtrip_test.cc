@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -175,6 +176,38 @@ TEST(SerializeRoundtripTest, LoadRejectsArchitectureMismatch) {
   core::DiffOde b(other);
   auto b_params = b.Params();
   EXPECT_FALSE(nn::LoadParams(&b_params, path));
+  std::remove(path.c_str());
+}
+
+// Overwrites the u64 at byte `offset` of the file at `path`.
+void PatchU64(const std::string& path, long offset, std::uint64_t value) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&value, sizeof(value), 1, f), 1u);
+  std::fclose(f);
+}
+
+TEST(SerializeRoundtripTest, LoadRejectsCorruptSizeFieldsAndKeepsModel) {
+  core::DiffOde a(TinyConfig());
+  const std::string path = CheckpointPath("diffode_corrupt.ckpt");
+  core::DiffOdeConfig other = TinyConfig();
+  other.seed = 7;  // a load that went through would change b's weights
+  core::DiffOde b(other);
+  auto b_params = b.Params();
+  std::vector<Tensor> before;
+  for (const auto& p : b_params) before.push_back(p.value());
+  // Header: magic, count, then the first parameter's rank and dims.
+  constexpr long kFirstRank = 16, kFirstDim = 24;
+  for (const auto& [offset, value] :
+       {std::pair{kFirstRank, std::uint64_t{1} << 61},
+        std::pair{kFirstDim, std::uint64_t{1} << 62}}) {
+    ASSERT_TRUE(nn::SaveParams(a.Params(), path));
+    PatchU64(path, offset, value);
+    EXPECT_FALSE(nn::LoadParams(&b_params, path)) << "offset " << offset;
+    for (std::size_t i = 0; i < b_params.size(); ++i)
+      ExpectBitwiseEqual(b_params[i].value(), before[i], "untouched param");
+  }
   std::remove(path.c_str());
 }
 

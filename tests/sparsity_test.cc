@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 
 #include "linalg/pinv.h"
+#include "sparsity/attention_image.h"
 #include "sparsity/hoyer.h"
 #include "sparsity/pt_solver.h"
 #include "tensor/random.h"
@@ -208,6 +211,40 @@ TEST(RecoverZTest, RankOneProjectorIdentity) {
   Tensor lhs = Tensor::Eye(7) - m.MatMul(m_pinv);
   Tensor rhs = p.Transposed().MatMul(p) * (1.0 / p.Dot(p));
   EXPECT_LT((lhs - rhs).MaxAbs(), 1e-8);
+}
+
+// ---------------------------------------------------------------------------
+// Fig. 3 export: attention rows as a gray-scale PGM.
+// ---------------------------------------------------------------------------
+
+TEST(AttentionImageTest, WritesValidPgm) {
+  Rng rng(1);
+  std::vector<Tensor> rows;
+  for (int i = 0; i < 5; ++i)
+    rows.push_back(rng.UniformTensor(Shape{1, 8}, 0.0, 1.0));
+  const std::string path = ::testing::TempDir() + "/attn.pgm";
+  ASSERT_TRUE(WriteAttentionPgm(rows, path, 2));
+  std::ifstream in(path, std::ios::binary);
+  std::string magic;
+  in >> magic;
+  int w = 0, h = 0, maxval = 0;
+  in >> w >> h >> maxval;
+  EXPECT_EQ(magic, "P5");
+  EXPECT_EQ(w, 16);
+  EXPECT_EQ(h, 10);
+  EXPECT_EQ(maxval, 255);
+  in.get();  // single whitespace after header
+  std::vector<char> pixels(static_cast<std::size_t>(w * h));
+  in.read(pixels.data(), w * h);
+  EXPECT_EQ(in.gcount(), w * h);
+  std::remove(path.c_str());
+}
+
+TEST(AttentionImageTest, RejectsMismatchedRows) {
+  std::vector<Tensor> rows = {Tensor::Ones(Shape{1, 4}),
+                              Tensor::Ones(Shape{1, 5})};
+  EXPECT_FALSE(WriteAttentionPgm(rows, ::testing::TempDir() + "/bad.pgm"));
+  EXPECT_FALSE(WriteAttentionPgm({}, ::testing::TempDir() + "/never.pgm"));
 }
 
 }  // namespace
