@@ -242,11 +242,11 @@ void BM_TensorAllocPooled(benchmark::State& state) {
 BENCHMARK(BM_TensorAllocPooled)->Arg(1 << 8)->Arg(1 << 14);
 
 // ---- Kernel ISA sweep ------------------------------------------------------
-// Scalar vs AVX2 backend on the GEMM shapes the model actually runs (Table V
-// workloads): GRU gate projections, MLP heads, attention score/backward
-// products, plus the vectorized transcendental maps. Arg 0 picks the ISA
-// (0 = scalar, 1 = avx2); avx2 rows are skipped on hosts without AVX2+FMA.
-// scripts/bench_report.sh pairs the rows into the BENCH_PR3 speedup table.
+// Scalar vs AVX2 vs AVX-512 backend on the GEMM shapes the model actually
+// runs (Table V workloads): GRU gate projections, MLP heads, attention
+// score/backward products, plus the vectorized transcendental maps. Arg 0
+// picks the ISA (0 = scalar, 1 = avx2, 2 = avx512); rows for an ISA the host
+// or build lacks are skipped.
 
 simd::Isa IsaArg(benchmark::State& state) {
   switch (state.range(0)) {

@@ -1,7 +1,7 @@
 # End-to-end checks of `diffode_cli predict`'s input validation:
 #
 #   cmake -DCLI=<path/to/diffode_cli> -DWORK=<scratch dir> \
-#         -DCASE=<bad_at|short_series|bad_csv|bad_checkpoint> \
+#         -DCASE=<bad_at|short_series|bad_csv|bad_checkpoint|bad_flags> \
 #         -P cli_predict_checks.cmake
 #
 # bad_at:         a non-finite or unparsable --at exits non-zero and names
@@ -13,6 +13,9 @@
 #                 reason, on the per-sequence and the batched path.
 # bad_checkpoint: a checkpoint whose first rank field is corrupt exits 1
 #                 with a reason.
+# bad_flags:      a numeric flag that does not parse, is not finite or is
+#                 out of range, or an unknown --model, exits 1 and names the
+#                 flag (predict, plus train and generate cases).
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -108,6 +111,23 @@ elseif(CASE STREQUAL "bad_checkpoint")
   endif()
   run_cli(p ${predict} --at=1.0)
   expect_rejected(p "corrupt rank" "cannot load weights from weights.bin")
+elseif(CASE STREQUAL "bad_flags")
+  # A quoted item with a ';' expands to several arguments; the first names
+  # the flag that must be rejected.
+  foreach(bad "--batch=0;--precision=f32" --batch=abc --batch=1.5
+              --channels=x --channels=5x --step=0 --step=nan --latent=-1
+              --model=NOPE --model=NCDE --model=ODE-LSTM)
+    run_cli(p ${predict} --at=1.0 ${bad})
+    string(REGEX MATCH "^--[a-z]+=" flag "${bad}")
+    expect_rejected(p "predict ${bad}" "(bad|unknown) ${flag}")
+  endforeach()
+  run_cli(p train --data=data.csv --channels=5 --task=interpolation
+          --epochs=-1)
+  expect_rejected(p "train --epochs=-1" "bad --epochs=")
+  run_cli(p train --data=data.csv --channels=5 --task=interp)
+  expect_rejected(p "train --task=interp" "unknown --task=")
+  run_cli(p generate --dataset=ushcn --out=x.csv --count=0)
+  expect_rejected(p "generate --count=0" "bad --count=")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

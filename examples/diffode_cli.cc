@@ -13,12 +13,14 @@
 //
 // Flags use --key=value form; `diffode_cli help` lists everything.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "baselines/zoo.h"
 #include "core/batch_predictor.h"
@@ -33,9 +35,10 @@ namespace {
 
 using namespace diffode;
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
+using Flags = std::map<std::string, std::string>;
+
+Flags ParseFlags(int argc, char** argv, int first) {
+  Flags flags;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
@@ -50,10 +53,43 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
   return flags;
 }
 
-std::string FlagOr(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
+std::string FlagOr(const Flags& flags, const std::string& key,
+                   const std::string& fallback) {
   const auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
+}
+
+// Parses all of `text` as one finite number.
+bool ParseFinite(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size() &&
+         std::isfinite(*out);
+}
+
+// Reads the numeric flag --key (`fallback` when absent) into *out. The text
+// must parse as a finite number in [lo, hi], and as a whole number when T is
+// an integer type; otherwise names the flag on stderr and returns false.
+template <typename T>
+bool NumericFlag(const Flags& flags, const std::string& key, T fallback,
+                 T lo, T hi, T* out) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) {
+    *out = fallback;
+    return true;
+  }
+  double v = 0.0;
+  if (ParseFinite(it->second, &v) && v >= static_cast<double>(lo) &&
+      v <= static_cast<double>(hi) &&
+      (std::is_floating_point_v<T> || v == std::floor(v))) {
+    *out = static_cast<T>(v);
+    return true;
+  }
+  std::fprintf(stderr, "bad --%s=%s: expected %s in [%g, %g]\n", key.c_str(),
+               it->second.c_str(),
+               std::is_integral_v<T> ? "an integer" : "a number",
+               static_cast<double>(lo), static_cast<double>(hi));
+  return false;
 }
 
 int Usage() {
@@ -82,10 +118,8 @@ bool ParseTimes(const std::string& csv, std::vector<Scalar>* out,
     std::size_t next = csv.find(',', pos);
     if (next == std::string::npos) next = csv.size();
     const std::string item = csv.substr(pos, next - pos);
-    char* end = nullptr;
-    const Scalar t = std::strtod(item.c_str(), &end);
-    if (item.empty() || end != item.c_str() + item.size() ||
-        !std::isfinite(t)) {
+    Scalar t = 0.0;
+    if (!ParseFinite(item, &t)) {
       *error = "'" + item + "' is not a finite time";
       return false;
     }
@@ -95,10 +129,46 @@ bool ParseTimes(const std::string& csv, std::vector<Scalar>* out,
   return true;
 }
 
-int RunGenerate(const std::map<std::string, std::string>& flags) {
+// Builds --model (DIFFODE or a BaselineNames() entry) sized by --latent and
+// --step. Returns nullptr, with the bad flag named on stderr, on bad input.
+std::unique_ptr<core::SequenceModel> MakeCliModel(const Flags& flags,
+                                                  Index channels,
+                                                  Index num_classes) {
+  const std::string name = FlagOr(flags, "model", "DIFFODE");
+  Index latent = 0;
+  Scalar step = 0.0;
+  if (!NumericFlag<Index>(flags, "latent", 16, 1, 1024, &latent) ||
+      !NumericFlag<Scalar>(flags, "step", 0.5, 1e-3, 10.0, &step))
+    return nullptr;
+  if (name == "DIFFODE") {
+    core::DiffOdeConfig config;
+    config.input_dim = channels;
+    config.latent_dim = latent;
+    config.hippo_dim = 12;
+    config.info_dim = 12;
+    config.num_classes = num_classes;
+    config.step = step;
+    return std::make_unique<core::DiffOde>(config);
+  }
+  const auto names = baselines::BaselineNames();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    std::fprintf(stderr, "unknown --model=%s (see `diffode_cli models`)\n",
+                 name.c_str());
+    return nullptr;
+  }
+  baselines::BaselineConfig config;
+  config.input_dim = channels;
+  config.hidden_dim = latent;
+  config.num_classes = num_classes;
+  config.step = step;
+  return baselines::MakeBaseline(name, config);
+}
+
+int RunGenerate(const Flags& flags) {
   const std::string kind = FlagOr(flags, "dataset", "synthetic");
   const std::string out = FlagOr(flags, "out", "dataset.csv");
-  const Index count = std::stoll(FlagOr(flags, "count", "60"));
+  Index count = 0;
+  if (!NumericFlag<Index>(flags, "count", 60, 1, 1000000, &count)) return 1;
   data::Dataset ds;
   if (kind == "synthetic") {
     data::SyntheticPeriodicConfig config;
@@ -136,10 +206,24 @@ int RunGenerate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int RunTrain(const std::map<std::string, std::string>& flags) {
+int RunTrain(const Flags& flags) {
   const std::string path = FlagOr(flags, "data", "");
   if (path.empty()) return Usage();
-  const Index channels = std::stoll(FlagOr(flags, "channels", "1"));
+  const std::string task = FlagOr(flags, "task", "classification");
+  if (task != "classification" && task != "interpolation" &&
+      task != "extrapolation") {
+    std::fprintf(stderr,
+                 "unknown --task=%s "
+                 "(classification|interpolation|extrapolation)\n",
+                 task.c_str());
+    return 1;
+  }
+  Index channels = 0;
+  train::TrainOptions options;
+  if (!NumericFlag<Index>(flags, "channels", 1, 1, 4096, &channels) ||
+      !NumericFlag<Index>(flags, "epochs", 10, 0, 100000, &options.epochs) ||
+      !NumericFlag<Scalar>(flags, "lr", 0.003, 0.0, 10.0, &options.lr))
+    return 1;
   const bool labels = flags.count("labels") > 0;
   std::string error;
   auto series = data::LoadCsv(path, channels, labels, &error);
@@ -167,27 +251,9 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   }
   data::NormalizeDataset(&ds);
 
-  const std::string model_name = FlagOr(flags, "model", "DIFFODE");
-  const Index latent = std::stoll(FlagOr(flags, "latent", "16"));
-  const Scalar step = std::stod(FlagOr(flags, "step", "0.5"));
-  std::unique_ptr<core::SequenceModel> model;
-  if (model_name == "DIFFODE") {
-    core::DiffOdeConfig config;
-    config.input_dim = channels;
-    config.latent_dim = latent;
-    config.hippo_dim = 12;
-    config.info_dim = 12;
-    config.num_classes = std::max<Index>(ds.num_classes, 2);
-    config.step = step;
-    model = std::make_unique<core::DiffOde>(config);
-  } else {
-    baselines::BaselineConfig config;
-    config.input_dim = channels;
-    config.hidden_dim = latent;
-    config.num_classes = std::max<Index>(ds.num_classes, 2);
-    config.step = step;
-    model = baselines::MakeBaseline(model_name, config);
-  }
+  auto model =
+      MakeCliModel(flags, channels, std::max<Index>(ds.num_classes, 2));
+  if (model == nullptr) return 1;
   auto params = model->Params();
   const std::string load = FlagOr(flags, "load", "");
   if (!load.empty() && !nn::LoadParams(&params, load)) {
@@ -197,12 +263,8 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   std::printf("model %s: %lld parameters\n", model->name().c_str(),
               static_cast<long long>(model->NumParams()));
 
-  train::TrainOptions options;
-  options.epochs = std::stoll(FlagOr(flags, "epochs", "10"));
-  options.lr = std::stod(FlagOr(flags, "lr", "0.003"));
   options.patience = options.epochs;
   options.verbose = true;
-  const std::string task = FlagOr(flags, "task", "classification");
   if (task == "classification") {
     if (!labels) {
       std::fprintf(stderr, "classification needs --labels\n");
@@ -233,7 +295,7 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
 
 // Forward-only serving: reload a checkpoint into a frozen model and predict
 // each series at the requested times, tape-free under NoGradScope.
-int RunPredict(const std::map<std::string, std::string>& flags) {
+int RunPredict(const Flags& flags) {
   const std::string path = FlagOr(flags, "data", "");
   const std::string load = FlagOr(flags, "load", "");
   const std::string at = FlagOr(flags, "at", "");
@@ -244,32 +306,19 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "bad --at: %s\n", error.c_str());
     return 1;
   }
-  const Index channels = std::stoll(FlagOr(flags, "channels", "1"));
+  Index channels = 0;
+  Index exec_batch = 0;
+  if (!NumericFlag<Index>(flags, "channels", 1, 1, 4096, &channels) ||
+      !NumericFlag<Index>(flags, "batch", 1, 1, 4096, &exec_batch))
+    return 1;
+  auto model = MakeCliModel(flags, channels, /*num_classes=*/2);
+  if (model == nullptr) return 1;
   auto series = data::LoadCsv(path, channels, /*labels=*/false, &error);
   if (series.empty()) {
     std::fprintf(stderr, "load failed: %s\n", error.c_str());
     return 1;
   }
 
-  const std::string model_name = FlagOr(flags, "model", "DIFFODE");
-  const Index latent = std::stoll(FlagOr(flags, "latent", "16"));
-  const Scalar step = std::stod(FlagOr(flags, "step", "0.5"));
-  std::unique_ptr<core::SequenceModel> model;
-  if (model_name == "DIFFODE") {
-    core::DiffOdeConfig config;
-    config.input_dim = channels;
-    config.latent_dim = latent;
-    config.hippo_dim = 12;
-    config.info_dim = 12;
-    config.step = step;
-    model = std::make_unique<core::DiffOde>(config);
-  } else {
-    baselines::BaselineConfig config;
-    config.input_dim = channels;
-    config.hidden_dim = latent;
-    config.step = step;
-    model = baselines::MakeBaseline(model_name, config);
-  }
   auto params = model->Params();
   if (!nn::LoadParams(&params, load)) {
     std::fprintf(stderr,
@@ -287,7 +336,6 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
       precision_name == "f32" ? Precision::kF32 : Precision::kF64;
   model->Freeze(precision);
 
-  const Index exec_batch = std::stoll(FlagOr(flags, "batch", "1"));
   // Models need at least two observations to encode a context; shorter
   // series are skipped, and named.
   const auto servable = [&series](std::size_t i) {

@@ -10,8 +10,8 @@
 # The determinism contract (docs/performance.md) makes DIFFODE_NUM_THREADS=1
 # and =4 produce bitwise-identical results, so running both configurations is
 # a regression gate, not a flake source. The same holds per kernel ISA:
-# DIFFODE_KERNEL_ISA=scalar must pass the identical suite the dispatched
-# (AVX2 where available) build passes.
+# DIFFODE_KERNEL_ISA=scalar and =avx2 must pass the identical suite the
+# dispatched build (the best ISA the CPU supports) passes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,18 +85,14 @@ echo "== tier-1: f32 serving tier, DIFFODE_KERNEL_ISA=scalar =="
 (cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure \
   -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
 
-echo "== tier-1: f32 serving tier, DIFFODE_KERNEL_ISA=avx2 =="
-# Same suite pinned to the AVX2 f32 backend (the dispatched default on x86;
-# resolves to scalar with a warning elsewhere, so the leg is portable).
-(cd build && DIFFODE_KERNEL_ISA=avx2 ctest --output-on-failure \
-  -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
+echo "== tier-1: ctest, DIFFODE_KERNEL_ISA=avx2 =="
+# The SIMD fallback on CPUs without AVX-512 F+DQ. Where AVX-512 is present the
+# default legs above run it; without AVX2 the dispatcher warns and falls
+# back to scalar, so the leg is portable.
+(cd build && DIFFODE_KERNEL_ISA=avx2 ctest --output-on-failure -j)
 
-echo "== tier-1: f32 serving tier + kernel matrix, DIFFODE_KERNEL_ISA=avx512 =="
-# The AVX-512 backend is opt-in (auto-resolution caps at AVX2). On hosts
-# without AVX-512 F+DQ the dispatcher warns and falls back, and the
-# ISA-matrix tests CPUID-skip their avx512 legs, so this runs everywhere.
-(cd build && DIFFODE_KERNEL_ISA=avx512 ctest --output-on-failure \
-  -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
+echo "== perfbench: summarizer unit tests =="
+PYTHONDONTWRITEBYTECODE=1 python3 perfbench/test_summary.py
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tsan: configure + build (-DDIFFODE_SANITIZE=thread) =="
@@ -142,7 +138,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
-  # The AVX2 backend leans on pointer arithmetic over raw panels and masked
+  # The SIMD backends lean on pointer arithmetic over raw panels and masked
   # tail loads; UBSan (non-recovering) is the gate that no kernel indexes
   # out of its contractual range or hits signed overflow on the fixed-grid
   # partition math. Runs on both ISAs so the dispatcher and the scalar

@@ -5,9 +5,7 @@
 #include "baselines/gru_ode_bayes.h"
 #include "baselines/hippo_models.h"
 #include "baselines/latent_ode.h"
-#include "baselines/neural_cde.h"
 #include "baselines/nrde.h"
-#include "baselines/ode_lstm.h"
 #include "baselines/ode_rnn.h"
 #include "baselines/poly_ode.h"
 
@@ -16,8 +14,7 @@ namespace diffode::baselines {
 std::vector<std::string> BaselineNames() {
   return {"mTAN",       "ContiFormer",   "HiPPO-obs", "HiPPO-RNN",
           "S4",         "GRU",           "GRU-D",     "ODE-RNN",
-          "Latent ODE", "GRU-ODE-Bayes", "NRDE",      "PolyODE",
-          "NCDE",       "ODE-LSTM"};
+          "Latent ODE", "GRU-ODE-Bayes", "NRDE",      "PolyODE"};
 }
 
 std::unique_ptr<core::SequenceModel> MakeBaseline(
@@ -35,8 +32,6 @@ std::unique_ptr<core::SequenceModel> MakeBaseline(
   if (name == "GRU-ODE-Bayes")
     return std::make_unique<GruOdeBayesBaseline>(config);
   if (name == "NRDE") return std::make_unique<NrdeBaseline>(config);
-  if (name == "NCDE") return std::make_unique<NeuralCdeBaseline>(config);
-  if (name == "ODE-LSTM") return std::make_unique<OdeLstmBaseline>(config);
   if (name == "PolyODE") return std::make_unique<PolyOdeBaseline>(config);
   DIFFODE_CHECK_MSG(false, "unknown baseline name");
   return nullptr;

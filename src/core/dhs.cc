@@ -16,11 +16,18 @@ DhsContext BuildDhsContext(const ag::Var& z, Scalar ridge) {
   ag::Var gram = ag::MatMul(ctx.zt, z);
   ag::Var gram_inv = ag::RidgeInverse(gram, ridge);
   ctx.zt_pinv = ag::MatMul(z, gram_inv);
-  // A_p J = 1 - (Zᵀ)† (Zᵀ 1).
+  // A_p J = 1 - (Zᵀ)† (Zᵀ 1). With n <= d and independent rows of Z, Zᵀ has
+  // an empty null space and A_p is exactly zero; the ridge would leave a
+  // ridge-sized residue there that max-Hoyer divides rounding noise by (an
+  // O(1) error in f32). With A_p J = 0, max-Hoyer takes p = b.
   ag::Var ones_col = ag::Constant(Tensor::Ones(Shape{ctx.n, 1}));
-  ag::Var zt_ones = ag::MatMul(ctx.zt, ones_col);   // d x 1
-  ag::Var proj = ag::MatMul(ctx.zt_pinv, zt_ones);  // n x 1
-  ctx.ap_colsum = ag::Sub(ones_col, proj);
+  if (ctx.n <= ctx.d) {
+    ctx.ap_colsum = ag::Constant(Tensor::Zeros(Shape{ctx.n, 1}));
+  } else {
+    ag::Var zt_ones = ag::MatMul(ctx.zt, ones_col);   // d x 1
+    ag::Var proj = ag::MatMul(ctx.zt_pinv, zt_ones);  // n x 1
+    ctx.ap_colsum = ag::Sub(ones_col, proj);
+  }
   ctx.ap_rowsum = ag::Transpose(ctx.ap_colsum);
   ctx.ap_total = ag::Sum(ctx.ap_colsum);
   ctx.ones_row = ag::Constant(Tensor::Ones(Shape{1, ctx.n}));

@@ -22,7 +22,7 @@ struct DhsContext {
   ag::Var z;          // n x d_h latent codes (key/value matrix)
   ag::Var zt;         // Zᵀ, d_h x n (shared by gram, projections)
   ag::Var zt_pinv;    // (Zᵀ)† = Z (ZᵀZ + ridge I)^{-1}, n x d_h
-  ag::Var ap_colsum;  // A_p J_{n,1} = (I - (Zᵀ)† Zᵀ) 1, n x 1
+  ag::Var ap_colsum;  // A_p J_{n,1} = (I - (Zᵀ)† Zᵀ) 1, n x 1; 0 if n <= d
   ag::Var ap_rowsum;  // (A_p J)ᵀ, 1 x n (reused every max-Hoyer recovery)
   ag::Var ap_total;   // J A_p J, 1 x 1
   ag::Var ones_row;   // constant 1 x n (reused every z-recovery)

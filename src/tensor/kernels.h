@@ -26,8 +26,7 @@ namespace diffode::kernels {
 // scalar C++ (kernels_scalar.cc), AVX2+FMA microkernels (kernels_avx2.cc),
 // or AVX-512 microkernels (kernels_avx512.cc) — selected once at startup by
 // CPUID feature detection, overridable with
-// DIFFODE_KERNEL_ISA=scalar|avx2|avx512 (see tensor/simd.h). Auto-dispatch
-// caps at AVX2; the AVX-512 tier is opt-in via the override or SetActiveIsa.
+// DIFFODE_KERNEL_ISA=scalar|avx2|avx512 (see tensor/simd.h).
 //
 // Determinism contract (per ISA, per dtype): for a fixed input, a fixed ISA,
 // and a fixed dtype, every kernel produces bitwise identical output at any

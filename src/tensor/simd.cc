@@ -28,33 +28,28 @@ bool CpuHasAvx512() {
 }
 
 // Startup resolution: DIFFODE_KERNEL_ISA if set and usable, else the best
-// the hardware offers CAPPED AT AVX2 — the AVX-512 tier is opt-in (see
-// simd.h). Warnings go to stderr so a bad override is visible but harmless.
+// backend CPUID reports. Warnings go to stderr so a bad override is visible
+// but harmless.
 Isa ResolveStartupIsa() {
-  const Isa auto_isa = IsaSupported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
+  Isa best = Isa::kScalar;
+  for (Isa isa : {Isa::kAvx2, Isa::kAvx512})
+    if (IsaSupported(isa)) best = isa;
   const char* env = std::getenv("DIFFODE_KERNEL_ISA");
-  if (env == nullptr || env[0] == '\0') return auto_isa;
-  if (std::strcmp(env, "scalar") == 0) return Isa::kScalar;
-  if (std::strcmp(env, "avx2") == 0) {
-    if (IsaSupported(Isa::kAvx2)) return Isa::kAvx2;
+  if (env == nullptr || env[0] == '\0') return best;
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (std::strcmp(env, IsaName(isa)) != 0) continue;
+    if (IsaSupported(isa)) return isa;
     std::fprintf(stderr,
-                 "[DIFFODE] DIFFODE_KERNEL_ISA=avx2 requested but this "
-                 "CPU/build has no AVX2+FMA support; using scalar kernels\n");
-    return Isa::kScalar;
-  }
-  if (std::strcmp(env, "avx512") == 0) {
-    if (IsaSupported(Isa::kAvx512)) return Isa::kAvx512;
-    std::fprintf(stderr,
-                 "[DIFFODE] DIFFODE_KERNEL_ISA=avx512 requested but this "
-                 "CPU/build has no AVX-512 F+DQ support; using %s kernels\n",
-                 IsaName(auto_isa));
-    return auto_isa;
+                 "[DIFFODE] DIFFODE_KERNEL_ISA=%s requested but this "
+                 "CPU/build does not support it; using %s kernels\n",
+                 env, IsaName(best));
+    return best;
   }
   std::fprintf(stderr,
                "[DIFFODE] unknown DIFFODE_KERNEL_ISA value \"%s\" "
                "(expected \"scalar\", \"avx2\", or \"avx512\"); using %s\n",
-               env, IsaName(auto_isa));
-  return auto_isa;
+               env, IsaName(best));
+  return best;
 }
 
 }  // namespace

@@ -10,12 +10,9 @@ namespace diffode::simd {
 // microkernel backend in kernels_avx2.cc and kAvx512 the AVX-512 (F+DQ)
 // backend in kernels_avx512.cc, both compiled only on x86-64.
 //
-// Dispatch is resolved once at startup, overridable with
-// DIFFODE_KERNEL_ISA=scalar|avx2|avx512. Auto-resolution deliberately caps
-// at kAvx2 even on AVX-512 hardware: the default numeric path stays
-// bit-stable across machine generations (and avoids 512-bit frequency
-// licensing on older server parts); the AVX-512 tier is opt-in via the
-// environment override or SetActiveIsa. The determinism contract is per
+// Dispatch is resolved once at startup to the best backend CPUID supports,
+// overridable with DIFFODE_KERNEL_ISA=scalar|avx2|avx512 (used by tests and
+// CI to pin a backend). The determinism contract is per
 // ISA — for a fixed input and a fixed ISA every kernel is bitwise
 // reproducible at any thread count; switching ISA may move results by
 // rounding-level amounts (different accumulation widths / FMA).
@@ -42,9 +39,9 @@ Isa ResolveActiveIsaSlow();
 }  // namespace detail
 
 // The ISA the kernel layer is currently dispatching to. Resolved once at
-// startup from CPU detection (capped at kAvx2) and the DIFFODE_KERNEL_ISA
-// environment override; an override naming an unsupported ISA falls back
-// with a warning on stderr. Inline: this sits on every kernel dispatch.
+// startup to the best supported ISA unless DIFFODE_KERNEL_ISA overrides it;
+// an override naming an unsupported ISA falls back to the best one with a
+// warning on stderr. Inline: this sits on every kernel dispatch.
 inline Isa ActiveIsa() {
   const int v = detail::g_active_isa.load(std::memory_order_relaxed);
   if (v >= 0) return static_cast<Isa>(v);

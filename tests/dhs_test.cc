@@ -82,6 +82,28 @@ TEST(RecoverPVarTest, RoundTripReconstructsS) {
   EXPECT_NEAR(p.value().Sum(), 1.0, 1e-8);
 }
 
+TEST(RecoverPVarTest, ShortContextHasNoNullSpaceCorrection) {
+  // n <= d: Zᵀ has an empty null space, so A_p = 0 and max-Hoyer returns the
+  // min-norm b unchanged, which already recovers the attention weights.
+  for (Index n : {3, 8}) {
+    Rng rng(static_cast<std::uint64_t>(20 + n));
+    Var z = ag::Param(rng.NormalTensor(Shape{n, 8}));
+    Var query = ag::Param(rng.NormalTensor(Shape{1, 8}));
+    DhsContext ctx = BuildDhsContext(z, 1e-6);
+    EXPECT_EQ(ctx.ap_total.value().item(), 0.0);
+    Var s = DhsForward(ctx, query);
+    Var b = RecoverPVar(ctx, s, sparsity::PtStrategy::kMinNorm, Var());
+    Var p = RecoverPVar(ctx, s, sparsity::PtStrategy::kMaxHoyer, Var());
+    EXPECT_EQ((p.value() - b.value()).MaxAbs(), 0.0) << "n=" << n;
+    const Scalar scale = 1.0 / std::sqrt(8.0);
+    const Tensor attn =
+        ag::Softmax(ag::MulScalar(ag::MatMulNT(query, z), scale)).value();
+    EXPECT_LT((p.value() - attn).MaxAbs(), 1e-3) << "n=" << n;
+    ag::Mean(ag::Square(p)).Backward();
+    EXPECT_TRUE(z.grad().AllFinite());
+  }
+}
+
 TEST(RecoverPVarTest, GradientFlowsToZAndS) {
   Fixture f = Fixture::Make(7, 3, 6);
   auto scalar_fn = [&] {

@@ -366,15 +366,19 @@ TEST(KernelsIsaTest, BitwiseDeterministicAcrossThreadCountsPerIsa) {
 }
 
 TEST(KernelsIsaTest, EnvOverrideAndDispatchStateAreConsistent) {
-  // Whatever the startup resolution chose, it must be a supported ISA, and
-  // SetActiveIsa must refuse unsupported requests without changing state.
+  // Startup resolution picks the best ISA CPUID supports, unless
+  // DIFFODE_KERNEL_ISA pins a supported one; SetActiveIsa must refuse
+  // unsupported requests without changing state.
   const simd::Isa active = simd::ActiveIsa();
   EXPECT_TRUE(simd::IsaSupported(active));
-  // Auto-resolution caps at AVX2; only the explicit override (or
-  // SetActiveIsa, exercised below) reaches AVX-512.
+  simd::Isa best = simd::Isa::kScalar;
+  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512})
+    if (simd::IsaSupported(isa)) best = isa;
   const char* env = std::getenv("DIFFODE_KERNEL_ISA");
-  if (env == nullptr || std::strcmp(env, "avx512") != 0) {
-    EXPECT_TRUE(active == simd::Isa::kScalar || active == simd::Isa::kAvx2);
+  if (env == nullptr || env[0] == '\0') {
+    EXPECT_EQ(active, best) << simd::IsaName(active);
+  } else if (std::strcmp(env, simd::IsaName(active)) != 0) {
+    EXPECT_EQ(active, best) << "unusable override " << env;
   }
   for (simd::Isa isa :
        {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
