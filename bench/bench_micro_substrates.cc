@@ -438,6 +438,9 @@ BENCHMARK(BM_SelectScatterRowsIsa)
     ->Args({1, 256, 128})
     ->Args({2, 256, 128});
 
+// One head's Eq. 12 derivative as the per-sequence RHS builds it: the
+// DhsDerivative tape op, one node around the shared Derivative kernel of
+// core/dhs.h (the lockstep engine runs the same kernel per row).
 void BM_DhsDerivative(benchmark::State& state) {
   const Index n = state.range(0);
   const Index d = 16;

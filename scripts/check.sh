@@ -53,6 +53,10 @@ cmake -B build -S . > /dev/null
 cmake --build build -j > /dev/null
 
 echo "== tier-1: ctest, DIFFODE_NUM_THREADS=1 =="
+# This leg and the next run the whole suite on the serial and the parallel
+# schedule; among it, the no-grad forward path (nograd_test,
+# serialize_roundtrip_test) must hold its bitwise-equivalence and
+# zero-allocation contracts on both.
 (cd build && DIFFODE_NUM_THREADS=1 ctest --output-on-failure -j)
 
 echo "== tier-1: ctest, default thread count =="
@@ -61,29 +65,12 @@ echo "== tier-1: ctest, default thread count =="
 echo "== tier-1: ctest, DIFFODE_KERNEL_ISA=scalar =="
 # Forces the portable scalar kernel backend through the runtime dispatcher;
 # every test must pass on it bit-for-bit deterministically, since it is the
-# fallback on machines without AVX2+FMA.
+# fallback on machines without AVX2+FMA. That includes the lockstep engine
+# matching the per-sequence path (batched_equiv_test sweeps the ISAs
+# itself; this leg pins the dispatcher) and the f32 tier's accuracy and
+# round-trip contracts on the scalar f32 kernels a non-AVX2 serving host
+# runs (precision_test, serialize_roundtrip_test, kernels_isa_test).
 (cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure -j)
-
-echo "== tier-1: grad-off (NoGradScope) matrix entry =="
-# The no-grad forward path must hold its bitwise-equivalence and
-# zero-allocation contracts on both the serial and parallel schedules (the
-# tests internally sweep 1/4 threads and both kernel ISAs as well).
-(cd build && DIFFODE_NUM_THREADS=1 ctest --output-on-failure \
-  -R 'nograd_test|serialize_roundtrip_test')
-(cd build && ctest --output-on-failure -R 'nograd_test|serialize_roundtrip_test')
-
-echo "== tier-1: batched lockstep equivalence, DIFFODE_KERNEL_ISA=scalar =="
-# The lockstep engines must match the per-sequence path (within the bounds
-# batched_equiv_test states) on the scalar backend too; the test internally sweeps both ISAs and 1/4
-# threads, this leg pins the dispatcher itself to scalar.
-(cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure \
-  -R 'batched_equiv_test')
-
-echo "== tier-1: f32 serving tier, DIFFODE_KERNEL_ISA=scalar =="
-# The f32 tier's accuracy and round-trip contracts must hold on the
-# portable scalar f32 kernels — the fallback a non-AVX2 serving host runs.
-(cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure \
-  -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
 
 echo "== tier-1: ctest, DIFFODE_KERNEL_ISA=avx2 =="
 # The SIMD fallback on CPUs without AVX-512 F+DQ. Where AVX-512 is present the
@@ -93,6 +80,20 @@ echo "== tier-1: ctest, DIFFODE_KERNEL_ISA=avx2 =="
 
 echo "== perfbench: summarizer unit tests =="
 PYTHONDONTWRITEBYTECODE=1 python3 perfbench/test_summary.py
+
+echo "== perfbench: correctness smoke, every workload =="
+# The repository benchmark checks its own outputs and reports a run as
+# incorrect when they are wrong; no ctest target sees that. A 2 s run per
+# workload must end with a summary line that reads correct with 0 failures.
+for w in serve-ushcn-f64 serve-icu-f32 train-ushcn-interp; do
+  PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload "${w}" \
+    --seed 1 --seconds 2 --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+ok = r.get("correct") is True and r.get("failed") == 0
+print(sys.argv[1], "correct" if ok else "FAIL", "failed=%s" % r.get("failed"))
+sys.exit(0 if ok else 1)' "${w}"
+done
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tsan: configure + build (-DDIFFODE_SANITIZE=thread) =="
@@ -114,26 +115,20 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DDIFFODE_SANITIZE=address > /dev/null
   cmake --build build-asan -j > /dev/null
 
-  echo "== asan: NoGradScope eval path =="
-  # Value-only Vars bypass the tape arena entirely; this leg is the gate
-  # that no-grad forwards never read pooled buffers after recycling and
-  # never touch a node that was elided.
-  (cd build-asan && ctest --output-on-failure \
-    -R 'nograd_test|serialize_roundtrip_test')
-
-  echo "== asan: lockstep engine (f64 and f32) =="
-  # One engine serves both precisions (diffode_lockstep.cc). It packs and
-  # scatters rows through raw kernel copies, carves flat scratch (the p
-  # buffer and one Derivative slice per chunk) by chunk id, caches stage
-  # inputs across RK stages, and recycles its temporaries through its own
-  # pool scope. This leg is the gate that no recovery pass indexes outside
-  # its chunk slice, no cached stage buffer is read after the active-row
-  # count changed, and no packed block, checkpoint row or pooled buffer
-  # outlives its storage.
-  (cd build-asan && ctest --output-on-failure \
-    -R 'batched_equiv_test|precision_test|alloc_stats_test')
-
   echo "== asan: full suite =="
+  # Among it, two gates of their own:
+  # - The NoGradScope eval path (nograd_test, serialize_roundtrip_test):
+  #   value-only Vars bypass the tape arena entirely, and no-grad forwards
+  #   must never read pooled buffers after recycling or touch a node that
+  #   was elided.
+  # - The lockstep engine, f64 and f32 (batched_equiv_test, precision_test,
+  #   alloc_stats_test): it packs and scatters rows through raw kernel
+  #   copies, carves flat scratch (the p buffer and one recovery slice per
+  #   chunk) by chunk id, caches stage inputs across RK stages, and recycles
+  #   its temporaries through its own pool scope. No recovery pass may index
+  #   outside its chunk slice, no cached stage buffer may be read after the
+  #   active-row count changed, and no packed block, checkpoint row or
+  #   pooled buffer may outlive its storage.
   (cd build-asan && ctest --output-on-failure -j)
 fi
 

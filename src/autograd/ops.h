@@ -1,6 +1,8 @@
 #ifndef DIFFODE_AUTOGRAD_OPS_H_
 #define DIFFODE_AUTOGRAD_OPS_H_
 
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -65,6 +67,60 @@ Var Rk4Combine(const Var& y, const Var& k1, const Var& k2, const Var& k3,
 Var TanhLinear(const Var& x, const Var& w, const Var& b);
 
 namespace detail {
+
+// Lets MakeNodeFrom iterate ranges of Vars and of Var pointers alike.
+inline const Var& AsVar(const Var& v) { return v; }
+inline const Var& AsVar(const Var* v) { return *v; }
+
+// The node factory behind every op here, for ops defined elsewhere (the
+// fused DHS ops of core/dhs.h). Builds a node with the given forward value
+// and parents; requires_grad is inherited from any parent. Nodes come from
+// the thread's tape arena when a scope is active (AllocateNode); parents are
+// taken as an initializer_list of POINTERS or as an existing vector, so op
+// calls never materialize a temporary std::vector<Var> and never copy a Var
+// handle — a brace list of Vars would refcount every parent per op, paid
+// even on the no-grad path where the list is thrown away unread. With grad
+// disabled the node is skipped entirely: the result is a value-only Var,
+// parents are not captured, and the backward closure never materializes.
+// The closure stays in its lambda type until a node actually needs it —
+// converting to Node::backward_fn (std::function) eagerly would
+// heap-allocate closures with tensor captures even on paths that
+// immediately discard them. Backward closures scatter through
+// Node::AccumulateGrad.
+template <typename ParentRange, typename BackwardFn>
+Var MakeNodeFrom(Tensor value, const ParentRange& parents,
+                 BackwardFn&& backward_fn) {
+  if (!GradMode::IsEnabled()) return Var(std::move(value));
+  auto node = AllocateNode();
+  node->value = std::move(value);
+  node->parents.reserve(parents.size());
+  bool needs = false;
+  for (const auto& raw : parents) {
+    const Var& p = AsVar(raw);
+    DIFFODE_CHECK(p.defined());
+    std::shared_ptr<Node> pn = p.EnsureNode();
+    needs = needs || pn->requires_grad || pn->backward_fn;
+    node->parents.push_back(std::move(pn));
+  }
+  node->requires_grad = needs;
+  if (needs) node->backward_fn = std::forward<BackwardFn>(backward_fn);
+  return Var(std::move(node));
+}
+
+template <typename BackwardFn>
+Var MakeNode(Tensor value, std::initializer_list<const Var*> parents,
+             BackwardFn&& backward_fn) {
+  return MakeNodeFrom(std::move(value), parents,
+                      std::forward<BackwardFn>(backward_fn));
+}
+
+template <typename BackwardFn>
+Var MakeNode(Tensor value, const std::vector<Var>& parents,
+             BackwardFn&& backward_fn) {
+  return MakeNodeFrom(std::move(value), parents,
+                      std::forward<BackwardFn>(backward_fn));
+}
+
 // The forward arithmetic of AxpyFused / Rk4Combine as plain range functions.
 // The lockstep batched stepper (ode/lockstep.cc) calls these per state row so
 // a batched step is the same machine code — hence bitwise identical — as the

@@ -7,21 +7,12 @@ namespace diffode::ag {
 namespace {
 
 Var MakeInverseNode(const Var& a, Tensor inv) {
-  if (!GradMode::IsEnabled()) return Var(std::move(inv));
-  auto node = AllocateNode();
-  node->value = std::move(inv);
-  std::shared_ptr<Node> pn = a.EnsureNode();
-  node->requires_grad = pn->requires_grad || bool(pn->backward_fn);
-  node->parents.push_back(std::move(pn));
-  if (node->requires_grad) {
-    node->backward_fn = [](Node& n) {
-      // d/dA of A^{-1}: dA = -A^{-T} G A^{-T}, via the transpose-free GEMMs.
-      const Tensor& inv = n.value;
-      Tensor ga = inv.TransposedMatMul(n.grad).MatMulTransposed(inv) * -1.0;
-      n.parents[0]->AccumulateGrad(ga);
-    };
-  }
-  return Var(std::move(node));
+  return detail::MakeNode(std::move(inv), {&a}, [](Node& n) {
+    // d/dA of A^{-1}: dA = -A^{-T} G A^{-T}, via the transpose-free GEMMs.
+    const Tensor& inv = n.value;
+    Tensor ga = inv.TransposedMatMul(n.grad).MatMulTransposed(inv) * -1.0;
+    n.parents[0]->AccumulateGrad(ga);
+  });
 }
 
 }  // namespace

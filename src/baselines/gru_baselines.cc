@@ -1,10 +1,10 @@
 #include "baselines/gru_baselines.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "autograd/ops.h"
 #include "data/encoding.h"
-#include "tensor/kernels.h"
 
 namespace diffode::baselines {
 
@@ -144,141 +144,6 @@ ag::Var GruDBaseline::RunToEnd(const data::IrregularSeries& context,
     }
   }
   return h;
-}
-
-Tensor GruDBaseline::RunToEndBatched(
-    const data::SequenceBatch& batch,
-    std::vector<data::EncoderInputs>* encs) const {
-  const Index b = batch.batch;
-  const Index f = config_.input_dim;
-  const Index hd = config_.hidden_dim;
-  encs->clear();
-  encs->reserve(static_cast<std::size_t>(b));
-  // Per-row bookkeeping, exactly as RunToEnd: per-channel empirical means,
-  // last observed value, time-since-observed, previous own-observation time.
-  std::vector<Tensor> mean(static_cast<std::size_t>(b));
-  std::vector<Tensor> last(static_cast<std::size_t>(b));
-  std::vector<Tensor> since(static_cast<std::size_t>(b));
-  std::vector<Scalar> prev_t(static_cast<std::size_t>(b));
-  for (Index r = 0; r < b; ++r) {
-    const data::IrregularSeries& context =
-        *batch.series[static_cast<std::size_t>(r)];
-    encs->push_back(data::BuildEncoderInputs(context));
-    const Index n = context.length();
-    Tensor m(Shape{1, f});
-    Tensor count(Shape{1, f});
-    for (Index i = 0; i < n; ++i)
-      for (Index j = 0; j < f; ++j)
-        if (context.mask.at(i, j) > 0) {
-          m.at(0, j) += context.values.at(i, j);
-          count.at(0, j) += 1.0;
-        }
-    for (Index j = 0; j < f; ++j)
-      m.at(0, j) /= std::max(count.at(0, j), 1.0);
-    mean[static_cast<std::size_t>(r)] = m;
-    last[static_cast<std::size_t>(r)] = m;
-    since[static_cast<std::size_t>(r)] = Tensor(Shape{1, f});
-    prev_t[static_cast<std::size_t>(r)] = encs->back().norm_times.front();
-  }
-  Tensor h_all(Shape{b, hd});  // zeros, as InitialState per row
-  const Index enc_in = 2 * f + 2;
-  std::vector<Index> members;
-  for (Index u = 0; u < batch.union_size(); ++u) {
-    members.clear();
-    for (Index r = 0; r < b; ++r)
-      if (batch.IsMember(u, r)) members.push_back(r);
-    if (members.empty()) continue;
-    const Index e = static_cast<Index>(members.size());
-    Tensor x_rows = Tensor::Uninit(Shape{e, enc_in});
-    for (Index j = 0; j < e; ++j) {
-      const Index r = members[static_cast<std::size_t>(j)];
-      const data::IrregularSeries& context =
-          *batch.series[static_cast<std::size_t>(r)];
-      const Index i = batch.ObsIndex(u, r);
-      const Scalar t = (*encs)[static_cast<std::size_t>(r)]
-                           .norm_times[static_cast<std::size_t>(i)];
-      const Scalar dt = t - prev_t[static_cast<std::size_t>(r)];
-      prev_t[static_cast<std::size_t>(r)] = t;
-      // Hidden decay, replaying the per-sequence op chain on this row.
-      ag::Var decay = ag::Exp(ag::MulScalar(ag::Relu(hidden_decay_), -dt));
-      ag::Var h_row = ag::Mul(ag::Constant(h_all.Row(r)), decay);
-      h_all.SetRow(r, h_row.value());
-      Tensor& sin = since[static_cast<std::size_t>(r)];
-      Tensor delta(Shape{1, f});
-      for (Index j2 = 0; j2 < f; ++j2) {
-        sin.at(0, j2) += dt;
-        delta.at(0, j2) = sin.at(0, j2);
-      }
-      ag::Var gamma = ag::Exp(ag::Neg(
-          ag::Mul(ag::Relu(input_decay_), ag::Constant(delta))));
-      Tensor x_row(Shape{1, f});
-      Tensor m_row(Shape{1, f});
-      for (Index j2 = 0; j2 < f; ++j2) {
-        x_row.at(0, j2) = context.values.at(i, j2);
-        m_row.at(0, j2) = context.mask.at(i, j2);
-      }
-      ag::Var m_var = ag::Constant(m_row);
-      ag::Var fallback = ag::Add(
-          ag::Mul(gamma, ag::Constant(last[static_cast<std::size_t>(r)])),
-          ag::Mul(ag::AddScalar(ag::Neg(gamma), 1.0),
-                  ag::Constant(mean[static_cast<std::size_t>(r)])));
-      ag::Var imputed =
-          ag::Add(ag::Mul(m_var, ag::Constant(x_row)),
-                  ag::Mul(ag::AddScalar(ag::Neg(m_var), 1.0), fallback));
-      Tensor meta(Shape{1, 2});
-      meta.at(0, 0) = t;
-      meta.at(0, 1) = dt;
-      ag::Var row = ag::ConcatCols({imputed, m_var, ag::Constant(meta)});
-      std::copy_n(row.value().data(), enc_in, x_rows.data() + j * enc_in);
-      for (Index j2 = 0; j2 < f; ++j2) {
-        if (context.mask.at(i, j2) > 0) {
-          last[static_cast<std::size_t>(r)].at(0, j2) =
-              context.values.at(i, j2);
-          sin.at(0, j2) = 0.0;
-        }
-      }
-    }
-    Tensor h_rows = Tensor::Uninit(Shape{e, hd});
-    kernels::SelectRows(e, hd, members.data(), h_all.data(), h_rows.data());
-    const Tensor h_new =
-        cell_->Forward(ag::Constant(x_rows), ag::Constant(h_rows)).value();
-    kernels::ScatterRows(e, hd, members.data(), h_new.data(), h_all.data());
-  }
-  return h_all;
-}
-
-Tensor GruDBaseline::ClassifyLogitsBatched(const data::SequenceBatch& batch) {
-  ag::NoGradScope no_grad;
-  std::vector<data::EncoderInputs> encs;
-  const Tensor h_all = RunToEndBatched(batch, &encs);
-  return cls_head_->Forward(ag::Constant(h_all)).value();
-}
-
-std::vector<std::vector<Tensor>> GruDBaseline::PredictAtBatched(
-    const data::SequenceBatch& batch,
-    const std::vector<std::vector<Scalar>>& times) {
-  ag::NoGradScope no_grad;
-  const Index b = batch.batch;
-  DIFFODE_CHECK_EQ(static_cast<Index>(times.size()), b);
-  std::vector<data::EncoderInputs> encs;
-  const Tensor h_all = RunToEndBatched(batch, &encs);
-  std::vector<std::vector<Tensor>> out(static_cast<std::size_t>(b));
-  for (Index r = 0; r < b; ++r) {
-    // Per-pair head application on the per-sequence 1 x (hidden + 1) shape,
-    // so predictions are bitwise at any B.
-    const ag::Var h_row = ag::Constant(h_all.Row(r));
-    auto& dst = out[static_cast<std::size_t>(r)];
-    dst.reserve(times[static_cast<std::size_t>(r)].size());
-    for (Scalar t : times[static_cast<std::size_t>(r)]) {
-      const ag::Var t_var = ag::Constant(Tensor::Full(
-          Shape{1, 1},
-          (t - encs[static_cast<std::size_t>(r)].t_offset) *
-              encs[static_cast<std::size_t>(r)].t_scale));
-      dst.push_back(
-          reg_head_->Forward(ag::ConcatCols({h_row, t_var})).value());
-    }
-  }
-  return out;
 }
 
 ag::Var GruDBaseline::ClassifyLogits(const data::IrregularSeries& context) {

@@ -4,9 +4,7 @@
 #include <memory>
 
 #include "baselines/baseline_config.h"
-#include "core/batched_model.h"
 #include "core/sequence_model.h"
-#include "data/encoding.h"
 #include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
@@ -41,31 +39,19 @@ class GruBaseline : public core::SequenceModel {
 
 // GRU-D (Che et al. 2018): GRU with trainable input- and hidden-state decay
 // driven by the time since the last observation of each channel.
-class GruDBaseline : public core::SequenceModel,
-                     public core::BatchedSequenceModel {
+class GruDBaseline : public core::SequenceModel {
  public:
   explicit GruDBaseline(const BaselineConfig& config);
 
   ag::Var ClassifyLogits(const data::IrregularSeries& context) override;
   std::vector<ag::Var> PredictAt(const data::IrregularSeries& context,
                                  const std::vector<Scalar>& times) override;
-  // Union-grid lockstep: the batch walks the merged observation grid and at
-  // each union point the member rows run one batched GruCell update. The
-  // per-row decay/imputation chains replay the per-sequence autograd ops, so
-  // B = 1 is bitwise identical to RunToEnd.
-  Tensor ClassifyLogitsBatched(const data::SequenceBatch& batch) override;
-  std::vector<std::vector<Tensor>> PredictAtBatched(
-      const data::SequenceBatch& batch,
-      const std::vector<std::vector<Scalar>>& times) override;
   void CollectParams(std::vector<ag::Var>* out) const override;
   std::string name() const override { return "GRU-D"; }
 
  private:
   ag::Var RunToEnd(const data::IrregularSeries& context, Scalar* t_scale,
                    Scalar* t_offset) const;
-  // Final hidden states for all rows (B x hidden) via union-grid lockstep.
-  Tensor RunToEndBatched(const data::SequenceBatch& batch,
-                         std::vector<data::EncoderInputs>* encs) const;
 
   BaselineConfig config_;
   mutable Rng rng_;

@@ -1,10 +1,6 @@
 #include "baselines/jump_ode_base.h"
 
-#include <algorithm>
-
 #include "autograd/ops.h"
-#include "ode/lockstep.h"
-#include "tensor/kernels.h"
 
 namespace diffode::baselines {
 
@@ -54,136 +50,6 @@ ag::Var JumpOdeBase::StateAt(const Trace& trace, Scalar norm_t) const {
                            trace.post_jump_states[static_cast<std::size_t>(anchor)],
                            times[static_cast<std::size_t>(anchor)], norm_t,
                            options);
-}
-
-JumpOdeBase::BatchedTrace JumpOdeBase::ProcessBatched(
-    const data::SequenceBatch& batch) const {
-  const Index b = batch.batch;
-  BatchedTrace trace;
-  trace.enc.reserve(static_cast<std::size_t>(b));
-  trace.post_jump.resize(static_cast<std::size_t>(b));
-  // One plan per row replaying Process(): integrate between consecutive
-  // observation times, jump (checkpoint) at each observation.
-  std::vector<ode::RowPlan> plans(static_cast<std::size_t>(b));
-  for (Index r = 0; r < b; ++r) {
-    trace.enc.push_back(data::BuildEncoderInputs(
-        *batch.series[static_cast<std::size_t>(r)]));
-    const std::vector<Scalar>& times = trace.enc.back().norm_times;
-    ode::RowPlan& plan = plans[static_cast<std::size_t>(r)];
-    Scalar t_prev = times.front();
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      if (times[i] > t_prev)
-        ode::AppendSegment(&plan, t_prev, times[i], config_.step);
-      ode::AppendCheckpoint(&plan, static_cast<Index>(i));
-      t_prev = times[i];
-    }
-    trace.post_jump[static_cast<std::size_t>(r)].resize(times.size());
-  }
-  Tensor y(Shape{b, state_dim_});  // zeros, as the per-sequence start state
-  const ode::BatchedRhs rhs = [this](const std::vector<Index>&,
-                                     const std::vector<Scalar>&,
-                                     const Tensor& ya) -> Tensor {
-    return LockstepDynamics(ag::Constant(ya)).value();
-  };
-  const Index enc_in = trace.enc.front().inputs.cols();
-  const ode::LockstepEventFn on_event =
-      [&](const std::vector<ode::LockstepEvent>& events, Tensor* yp) {
-        // Group this wave's jumps into one batched JumpUpdate.
-        const Index e = static_cast<Index>(events.size());
-        Tensor x_rows = Tensor::Uninit(Shape{e, enc_in});
-        Tensor h_rows = Tensor::Uninit(Shape{e, state_dim_});
-        std::vector<Index> rows(static_cast<std::size_t>(e));
-        for (Index j = 0; j < e; ++j) {
-          const ode::LockstepEvent& ev = events[static_cast<std::size_t>(j)];
-          rows[static_cast<std::size_t>(j)] = ev.row;
-          std::copy_n(
-              trace.enc[static_cast<std::size_t>(ev.row)].inputs.data() +
-                  ev.tag * enc_in,
-              enc_in, x_rows.data() + j * enc_in);
-        }
-        kernels::SelectRows(e, state_dim_, rows.data(), yp->data(),
-                            h_rows.data());
-        const Tensor jumped =
-            JumpUpdate(ag::Constant(x_rows), ag::Constant(h_rows)).value();
-        kernels::ScatterRows(e, state_dim_, rows.data(), jumped.data(),
-                             yp->data());
-        for (Index j = 0; j < e; ++j) {
-          const ode::LockstepEvent& ev = events[static_cast<std::size_t>(j)];
-          trace.post_jump[static_cast<std::size_t>(ev.row)]
-                         [static_cast<std::size_t>(ev.tag)] = jumped.Row(j);
-        }
-      };
-  ode::LockstepIntegrate(plans, ode::DiffMethod::kMidpoint, rhs, on_event, &y);
-  return trace;
-}
-
-Tensor JumpOdeBase::ClassifyLogitsBatched(const data::SequenceBatch& batch) {
-  ag::NoGradScope no_grad;
-  const Index b = batch.batch;
-  if (!SupportsLockstep()) {
-    Tensor out;
-    for (Index r = 0; r < b; ++r) {
-      const ag::Var logits =
-          ClassifyLogits(*batch.series[static_cast<std::size_t>(r)]);
-      if (r == 0) out = Tensor(Shape{b, logits.cols()});
-      out.SetRow(r, logits.value());
-    }
-    return out;
-  }
-  BatchedTrace trace = ProcessBatched(batch);
-  Tensor h = Tensor::Uninit(Shape{b, state_dim_});
-  for (Index r = 0; r < b; ++r)
-    std::copy_n(trace.post_jump[static_cast<std::size_t>(r)].back().data(),
-                state_dim_, h.data() + r * state_dim_);
-  return cls_head_->Forward(ag::Constant(h)).value();
-}
-
-std::vector<std::vector<Tensor>> JumpOdeBase::PredictAtBatched(
-    const data::SequenceBatch& batch,
-    const std::vector<std::vector<Scalar>>& times) {
-  ag::NoGradScope no_grad;
-  const Index b = batch.batch;
-  DIFFODE_CHECK_EQ(static_cast<Index>(times.size()), b);
-  std::vector<std::vector<Tensor>> out(static_cast<std::size_t>(b));
-  if (!SupportsLockstep()) {
-    for (Index r = 0; r < b; ++r) {
-      const std::vector<ag::Var> preds =
-          PredictAt(*batch.series[static_cast<std::size_t>(r)],
-                    times[static_cast<std::size_t>(r)]);
-      auto& dst = out[static_cast<std::size_t>(r)];
-      dst.reserve(preds.size());
-      for (const ag::Var& p : preds) dst.push_back(p.value());
-    }
-    return out;
-  }
-  BatchedTrace trace = ProcessBatched(batch);
-  // Query integrations replay StateAt per (row, time) pair — the 1 x state
-  // per-sequence shape — so predictions are bitwise at any B.
-  ode::DiffSolveOptions options;
-  options.method = ode::DiffMethod::kMidpoint;
-  options.step = config_.step;
-  const ode::DiffOdeFunc f = ContinuousDynamics();
-  for (Index r = 0; r < b; ++r) {
-    const data::EncoderInputs& enc = trace.enc[static_cast<std::size_t>(r)];
-    const std::vector<Scalar>& obs_times = enc.norm_times;
-    auto& dst = out[static_cast<std::size_t>(r)];
-    dst.reserve(times[static_cast<std::size_t>(r)].size());
-    for (Scalar t : times[static_cast<std::size_t>(r)]) {
-      const Scalar norm_t = enc.Normalize(t);
-      Index anchor = 0;
-      for (std::size_t i = 0; i < obs_times.size(); ++i)
-        if (obs_times[i] <= norm_t) anchor = static_cast<Index>(i);
-      const ag::Var state = ode::IntegrateVar(
-          f,
-          ag::Constant(trace.post_jump[static_cast<std::size_t>(r)]
-                                      [static_cast<std::size_t>(anchor)]),
-          obs_times[static_cast<std::size_t>(anchor)], norm_t, options);
-      const ag::Var t_var = ag::Constant(Tensor::Full(Shape{1, 1}, norm_t));
-      dst.push_back(
-          reg_head_->Forward(ag::ConcatCols({state, t_var})).value());
-    }
-  }
-  return out;
 }
 
 ag::Var JumpOdeBase::ClassifyLogits(const data::IrregularSeries& context) {

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "baselines/baseline_config.h"
-#include "core/batched_model.h"
 #include "core/sequence_model.h"
 #include "data/encoding.h"
 #include "nn/mlp.h"
@@ -19,21 +18,11 @@ namespace diffode::baselines {
 // JumpUpdate() at each observation. Queries are answered by evolving the
 // state from the nearest preceding observation — exactly the fragmented
 // latent process of the paper's Fig. 1(a).
-class JumpOdeBase : public core::SequenceModel,
-                    public core::BatchedSequenceModel {
+class JumpOdeBase : public core::SequenceModel {
  public:
   ag::Var ClassifyLogits(const data::IrregularSeries& context) override;
   std::vector<ag::Var> PredictAt(const data::IrregularSeries& context,
                                  const std::vector<Scalar>& times) override;
-  // Lockstep batched serving: every row replays its per-sequence step
-  // timeline, jump updates are grouped per wave through one batched
-  // JumpUpdate call, and query-time integrations stay per-pair (bitwise at
-  // any B). Models whose dynamics are not batched-safe (SupportsLockstep()
-  // false) are served by a per-sequence fallback loop.
-  Tensor ClassifyLogitsBatched(const data::SequenceBatch& batch) override;
-  std::vector<std::vector<Tensor>> PredictAtBatched(
-      const data::SequenceBatch& batch,
-      const std::vector<std::vector<Scalar>>& times) override;
   void CollectParams(std::vector<ag::Var>* out) const override;
 
  protected:
@@ -43,16 +32,6 @@ class JumpOdeBase : public core::SequenceModel,
   virtual ag::Var JumpUpdate(const ag::Var& row, const ag::Var& state) const = 0;
   // Derived classes append their own parameters.
   virtual void CollectOwnParams(std::vector<ag::Var>* out) const = 0;
-  // Opt-in to the lockstep engine: true when ContinuousDynamics is
-  // time-independent and row-wise (the RHS of a stacked B x state block is
-  // the per-row RHS), and JumpUpdate accepts batched rows. When true,
-  // LockstepDynamics must evaluate the dynamics on a B x state batch.
-  virtual bool SupportsLockstep() const { return false; }
-  virtual ag::Var LockstepDynamics(const ag::Var& y) const {
-    (void)y;
-    DIFFODE_CHECK_MSG(false, "LockstepDynamics requires SupportsLockstep");
-    return ag::Var();
-  }
 
   const BaselineConfig& config() const { return config_; }
   Rng& rng() const { return rng_; }
@@ -63,14 +42,8 @@ class JumpOdeBase : public core::SequenceModel,
     std::vector<ag::Var> post_jump_states;  // state after each observation
   };
 
-  struct BatchedTrace {
-    std::vector<data::EncoderInputs> enc;
-    std::vector<std::vector<Tensor>> post_jump;  // [row][obs], 1 x state
-  };
-
   Trace Process(const data::IrregularSeries& context) const;
   ag::Var StateAt(const Trace& trace, Scalar norm_t) const;
-  BatchedTrace ProcessBatched(const data::SequenceBatch& batch) const;
 
   BaselineConfig config_;
   mutable Rng rng_;

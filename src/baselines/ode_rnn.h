@@ -33,13 +33,6 @@ class OdeRnnBaseline : public JumpOdeBase {
     return cell_->Forward(row, state);
   }
 
-  // Both the MLP dynamics and the GRU jump are row-wise over a stacked
-  // batch, so the lockstep engine can drive them directly.
-  bool SupportsLockstep() const override { return true; }
-  ag::Var LockstepDynamics(const ag::Var& y) const override {
-    return dynamics_->Forward(y);
-  }
-
   void CollectOwnParams(std::vector<ag::Var>* out) const override {
     dynamics_->CollectParams(out);
     cell_->CollectParams(out);

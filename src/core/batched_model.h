@@ -10,15 +10,13 @@ namespace diffode::core {
 
 // Lockstep execution interface: B sequences advance together so the model's
 // hot matvecs run at GEMM shape m = B instead of m = 1 (docs/performance.md,
-// "Execution batching"). Implemented natively by DiffOde, OdeRnnBaseline,
-// and GruDBaseline; every other model is served through BatchedDispatch's
-// per-sequence fallback loop.
+// "Execution batching"). Implemented natively by DiffOde only; every other
+// model is served through BatchedDispatch's per-sequence fallback loop.
 //
 // Both methods are serving/eval paths: they open their own ag::NoGradScope,
 // never build tape, and never accumulate auxiliary losses. Contract with the
-// per-sequence path: identical within 1e-10 relative at any B; at B = 1
-// bitwise for ODE-RNN and GRU-D and within 1e-12 relative for DIFFODE,
-// whose engine fuses the DHS recoveries (tests/batched_equiv_test.cc).
+// per-sequence path: bitwise at B = 1 and within 1e-10 relative at any B
+// (tests/batched_equiv_test.cc).
 class BatchedSequenceModel {
  public:
   virtual ~BatchedSequenceModel() = default;

@@ -5,24 +5,24 @@
 // Freeze(Precision::kF32).
 //
 // What runs in T: the encoder, the per-step DHS recoveries (p from S, z from
-// p, the Eq. 12 derivative — fused raw loops over flat chunked scratch),
-// phi / f_r / w_r, the HiPPO tail and the readouts. What stays f64 at both
-// precisions: the DHS factorization (DiffOde::BuildContexts, from the
-// encoded latents widened once per sequence), the step plans
-// (BuildBatchPlans) and the carried state with its stage combines
-// (ode::LockstepIntegrate<T>). The inversion is the numerically delicate
-// part of DHS and the state accumulate is where rounding compounds; both
-// cost per sequence or per stage, not per GEMM.
+// p, the Eq. 12 derivative — the shared RHS kernels of core/dhs.h over flat
+// chunked scratch), phi / f_r / w_r, the HiPPO tail and the readouts. What
+// stays f64 at both precisions: the DHS factorization
+// (DiffOde::BuildContexts, from the encoded latents widened once per
+// sequence), the step plans (BuildBatchPlans) and the carried state with its
+// stage combines (ode::LockstepIntegrate<T>). The inversion is the
+// numerically delicate part of DHS and the state accumulate is where
+// rounding compounds; both cost per sequence or per stage, not per GEMM.
 //
 // Equivalence with the per-sequence path. Every row replays its exact
-// per-sequence (t, h) timeline. At T = double the arithmetic differs from
-// the autograd op chains of dhs.cc only by rounding: the recoveries run as
-// fused loops (the p correction as one Axpy), the derivative's two products
-// share one m = 2 GEMM, and the shared MLPs run at GEMM shape m = B. The
-// bounds are 1e-12 relative at B = 1 and 1e-10 at B > 1
-// (tests/batched_equiv_test.cc); the f32 tiers are in
-// tests/precision_test.cc. Results are bitwise identical at any thread
-// count: the per-row passes shard on fixed chunk grids with disjoint writes.
+// per-sequence (t, h) timeline, and the DHS recoveries and derivative are
+// the same kernels the per-sequence tape ops call. At T = double and B = 1
+// every GEMM has the per-sequence shape, so results are bitwise identical
+// to the per-sequence path; at B > 1 the shared MLPs run at GEMM shape
+// m = B and the bound is 1e-10 relative (tests/batched_equiv_test.cc). The
+// f32 tiers are in tests/precision_test.cc. Results are bitwise identical
+// at any thread count: the per-row passes shard on fixed chunk grids with
+// disjoint writes.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -73,36 +73,35 @@ Tensor ToF64(TensorT<T> t) {
 // f64 factorization, cast once per sequence.
 template <typename T>
 struct DhsContextT {
-  TensorT<T> zt_pinv;      // (Zᵀ)†, n x d_h
-  TensorT<T> pinv_colsum;  // 1ᵀ (Zᵀ)†, 1 x d_h, summed in f64; f32 only
-  TensorT<T> ap_rowsum;    // (A_p J)ᵀ, 1 x n
-  TensorT<T> ada_corr;     // h A_p, 1 x n; empty unless the adaH strategy
-  TensorT<T> z;            // n x d_h
+  TensorT<T> zt_pinv;    // (Zᵀ)†, n x d_h
+  TensorT<T> ap_rowsum;  // (A_p J)ᵀ, 1 x n
+  TensorT<T> ada_corr;   // h A_p, 1 x n; empty unless the adaH strategy
+  TensorT<T> z;          // n x d_h
   T ap_total = 0;
   Index d = 0;
 
   static DhsContextT From(const DhsContext& ctx) {
     DhsContextT out;
-    const Tensor& pinv = ctx.zt_pinv.value();
-    out.zt_pinv = ToDtype<T>(pinv);
-    if constexpr (!std::is_same_v<T, Scalar>) {
-      // Column sums of (Zᵀ)†, accumulated in f64 before the single
-      // rounding: the f32 RecoverZ subtracts them instead of materialising
-      // the (c p - 1) vector.
-      const Index n = pinv.rows(), dh = pinv.cols();
-      out.pinv_colsum = TensorT<T>::Uninit(Shape{1, dh});
-      for (Index j = 0; j < dh; ++j) {
-        Scalar acc = 0.0;
-        for (Index k = 0; k < n; ++k) acc += pinv.at(k, j);
-        out.pinv_colsum.data()[j] = static_cast<T>(acc);
-      }
-    }
+    out.zt_pinv = ToDtype<T>(ctx.zt_pinv.value());
     out.ap_rowsum = ToDtype<T>(ctx.ap_rowsum.value());
     if (ctx.ada_corr.defined()) out.ada_corr = ToDtype<T>(ctx.ada_corr.value());
     out.z = ToDtype<T>(ctx.z.value());
     out.ap_total = static_cast<T>(ctx.ap_total.value().item());
     out.d = ctx.d;
     return out;
+  }
+
+  // The view the shared RHS kernels of core/dhs.h read.
+  DhsView<T> View() const {
+    DhsView<T> v;
+    v.zt_pinv = zt_pinv.data();
+    v.z = z.data();
+    v.ap_rowsum = ap_rowsum.data();
+    if (ada_corr.numel() > 0) v.ada_corr = ada_corr.data();
+    v.ap_total = ap_total;
+    v.n = zt_pinv.rows();
+    v.d = d;
+    return v;
   }
 };
 
@@ -117,82 +116,6 @@ struct EncodedT {
   Scalar t_scale = 1.0;
   Scalar t_offset = 0.0;
 };
-
-// p = s_h (Zᵀ)† (+ strategy correction), written into p_out[n].
-template <typename T>
-void RecoverP(const DhsContextT<T>& ctx, const T* s_h, Index dh,
-              sparsity::PtStrategy strategy, T* p_out) {
-  const Index n = ctx.zt_pinv.rows();
-  // p (1 x n) = s_h (1 x dh) · pinvᵀ, pinv stored n x dh row-major.
-  kernels::GemmNT(1, dh, n, s_h, ctx.zt_pinv.data(), p_out);
-  switch (strategy) {
-    case sparsity::PtStrategy::kMinNorm:
-      return;
-    case sparsity::PtStrategy::kAdaH:
-      // Encode runs the same CacheAdaHCorrection as the per-sequence path.
-      DIFFODE_CHECK_GT(ctx.ada_corr.numel(), 0);
-      kernels::Axpy(n, T(1), ctx.ada_corr.data(), p_out);
-      return;
-    case sparsity::PtStrategy::kExactKkt:
-      [[fallthrough]];
-    case sparsity::PtStrategy::kMaxHoyer: {
-      // Same degenerate-projector guard as RecoverPVar.
-      if (std::fabs(ctx.ap_total) < T(1e-10)) return;
-      const T coeff = (kernels::Sum(n, p_out) - T(1)) * (T(1) / ctx.ap_total);
-      kernels::Axpy(n, -coeff, ctx.ap_rowsum.data(), p_out);
-      return;
-    }
-  }
-  DIFFODE_CHECK(false);
-}
-
-// z_h = sqrt(d) (c p - 1) (Zᵀ)† with c = <p,h2>/<p,p>, written into
-// z_out[dh]. In f32 it is expanded as c sqrt(d) (p (Zᵀ)†) - sqrt(d)
-// 1ᵀ(Zᵀ)†: one GEMM, no scratch pass, no trailing scale. In f64 the two
-// expanded terms cancel to a small z, and untrained dynamics amplify that
-// rounding to within 3x of the 1e-12 B = 1 bound, so the f64 engine keeps
-// RecoverZVar's statement order through scratch[n] instead.
-template <typename T>
-void RecoverZ(const DhsContextT<T>& ctx, const T* p, const T* h2, Index dh,
-              T* scratch, T* z_out) {
-  const Index n = ctx.zt_pinv.rows();
-  const T pp = kernels::Dot(n, p, p);
-  const T ph = kernels::Dot(n, p, h2);
-  const T sq = std::sqrt(static_cast<T>(ctx.d));
-  if constexpr (std::is_same_v<T, Scalar>) {
-    const T c = ph / pp;
-    for (Index k = 0; k < n; ++k) scratch[k] = p[k] * c - T(1);
-    kernels::Gemm(1, n, dh, scratch, ctx.zt_pinv.data(), z_out);
-    for (Index j = 0; j < dh; ++j) z_out[j] *= sq;
-  } else {
-    const T c = ph / pp * sq;
-    kernels::Gemm(1, n, dh, p, ctx.zt_pinv.data(), z_out);
-    const T* cs = ctx.pinv_colsum.data();
-    for (Index j = 0; j < dh; ++j) z_out[j] = c * z_out[j] - sq * cs[j];
-  }
-}
-
-// ds = ((u ⊙ p) Z - <u,p> p Z) / sqrt(d) with u = Z w_h, written into
-// ds_out[dh]; scratch holds 3n + 2dh values (u ‖ [u⊙p ; p] ‖ the 2 x dh
-// product). The two (1 x n)·(n x dh) products share Z, so they run as one
-// m = 2 GEMM that reuses each Z row for both outputs while it is hot.
-template <typename T>
-void Derivative(const DhsContextT<T>& ctx, const T* w_h, const T* p, Index dh,
-                T* scratch, T* ds_out) {
-  const Index n = ctx.z.rows();
-  const T* z = ctx.z.data();  // n x dh, row-major
-  T* u = scratch;
-  T* a2 = scratch + n;  // [u ⊙ p ; p], 2 x n
-  T* c2 = a2 + 2 * n;   // [term1 ; term2], 2 x dh
-  kernels::GemmNT(1, dh, n, w_h, z, u);  // u (1 x n) = w_h · Zᵀ
-  const T up = kernels::Dot(n, u, p);
-  for (Index k = 0; k < n; ++k) a2[k] = u[k] * p[k];
-  std::copy_n(p, n, a2 + n);
-  kernels::Gemm(2, n, dh, a2, z, c2);
-  const T scale = T(1) / std::sqrt(static_cast<T>(ctx.d));
-  for (Index j = 0; j < dh; ++j)
-    ds_out[j] = scale * (c2[j] - up * c2[dh + j]);
-}
 
 }  // namespace
 
@@ -515,10 +438,11 @@ class LockstepEngine {
               *row_enc[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
           const T* yrow = ya.data() + i * sd;
           for (Index hh = 0; hh < heads; ++hh) {
-            const DhsContextT<T>& ctx = enc.heads[static_cast<std::size_t>(hh)];
+            const DhsView<T> v =
+                enc.heads[static_cast<std::size_t>(hh)].View();
             T* p = p_buf.data() + (i * heads + hh) * max_n;
-            RecoverP(ctx, yrow + hh * dh, dh, c_.pt_strategy, p);
-            RecoverZ(ctx, p, enc.h2.data(), dh, scratch,
+            RecoverP(v, yrow + hh * dh, c_.pt_strategy, p);
+            RecoverZ(v, p, enc.h2.data(), scratch,
                      xphi.data() + i * (d + 1) + hh * dh);
           }
           xphi.data()[i * (d + 1) + d] =
@@ -533,9 +457,9 @@ class LockstepEngine {
           const EncodedT<T>& enc =
               *row_enc[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
           for (Index hh = 0; hh < heads; ++hh)
-            Derivative(enc.heads[static_cast<std::size_t>(hh)],
+            Derivative(enc.heads[static_cast<std::size_t>(hh)].View(),
                        w.data() + i * d + hh * dh,
-                       p_buf.data() + (i * heads + hh) * max_n, dh, scratch,
+                       p_buf.data() + (i * heads + hh) * max_n, scratch,
                        k_out.data() + i * sd + hh * dh);
         }
       });

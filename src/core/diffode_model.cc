@@ -210,7 +210,7 @@ ode::DiffOdeFunc DiffOde::Dynamics(const Encoded& enc) const {
     for (Index hidx = 0; hidx < heads; ++hidx) {
       const DhsContext& ctx = enc.heads[static_cast<std::size_t>(hidx)];
       ag::Var s_h = heads == 1 ? s : ag::SliceCols(s, hidx * dh, dh);
-      ag::Var p = RecoverPVar(ctx, s_h, config_.pt_strategy, enc.h_ada);
+      ag::Var p = RecoverPVar(ctx, s_h, config_.pt_strategy);
       p_heads[static_cast<std::size_t>(hidx)] = p;
       z_heads[static_cast<std::size_t>(hidx)] = RecoverZVar(ctx, p, enc.h2);
     }

@@ -47,10 +47,11 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // Lockstep batched forwards (diffode_lockstep.cc): all sequences advance
   // together along their own per-sequence step timelines, so the shared
   // MLPs (phi, f_r, heads) run at GEMM shape m = B while the per-row DHS
-  // recoveries run as fused raw loops. Serving/eval only: each call opens
-  // its own NoGradScope and buffer-pool scope. The engine computes in f64,
-  // or in float after Freeze(Precision::kF32); the DHS factorization and
-  // the carried state stay f64 either way, and results come back as f64.
+  // recoveries run the shared kernels of dhs.h. Serving/eval only: each
+  // call opens its own NoGradScope and buffer-pool scope. The engine
+  // computes in f64, or in float after Freeze(Precision::kF32); the DHS
+  // factorization and the carried state stay f64 either way, and results
+  // come back as f64.
   Tensor ClassifyLogitsBatched(const data::SequenceBatch& batch) override;
   std::vector<std::vector<Tensor>> PredictAtBatched(
       const data::SequenceBatch& batch,

@@ -18,7 +18,7 @@
 // as a stop point. Per-row stage updates use the same expressions as the
 // per-sequence unroll, and row packing/unpacking is a pure copy, so a row's
 // trajectory differs from its per-sequence run only through the RHS
-// (tests/batched_equiv_test.cc states each engine's bound).
+// (tests/batched_equiv_test.cc states the DIFFODE engine's bounds).
 namespace diffode::ode {
 
 // One integration step of a row: advance from local time t by h.
@@ -58,7 +58,6 @@ template <typename T>
 using BatchedRhsT = std::function<TensorT<T>(const std::vector<Index>& rows,
                                              const std::vector<Scalar>& t,
                                              const TensorT<T>& y_active)>;
-using BatchedRhs = BatchedRhsT<Scalar>;
 
 // One due checkpoint, identified by batch row and the caller's tag.
 struct LockstepEvent {

@@ -1,10 +1,12 @@
 // Lockstep batched execution (core/batched_model.h) vs the per-sequence
-// path: random irregular grids, B in {1, 3, 8}, both kernel backends, 1 and
-// 4 threads. Batched results must match per-sequence within 1e-10 relative.
-// At B = 1 ODE-RNN and GRU-D collapse to the per-sequence op chains and must
-// match bitwise; DIFFODE's engine fuses the DHS recoveries into raw loops
-// (diffode_lockstep.cc), so its B = 1 rows are held to kDiffOdeB1Bound
-// instead. Engine outputs are bitwise identical at 1 and 4 threads.
+// path: random irregular grids, B in {1, 3, 8}, every supported kernel
+// backend, 1 and 4 threads. DIFFODE is the only model with a native
+// lockstep engine (diffode_lockstep.cc). Its recoveries and derivative are
+// the kernels the per-sequence tape ops call, so at B = 1 it must match the
+// per-sequence path bitwise; at B > 1, where the shared MLPs run at GEMM
+// shape m = B, within 1e-10 relative. Every other model is served by
+// BatchedDispatch's per-sequence loop, bitwise at any B. Engine outputs are
+// bitwise identical at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -59,13 +61,8 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b, const char* what) {
   }
 }
 
-// Batched vs per-sequence bound at B > 1 (every native engine).
+// Batched vs per-sequence bound at B > 1.
 constexpr Scalar kBatchedBound = 1e-10;
-// DIFFODE at B = 1: the engine's fused recoveries round differently from
-// the autograd op chains (measured up to ~1e-14 relative on these untrained
-// weights), so the contract is a bound, two orders below the B > 1 one,
-// instead of bitwise.
-constexpr Scalar kDiffOdeB1Bound = 1e-12;
 
 // |a - b| <= bound * max(1, |b|) per element.
 void ExpectClose(const Tensor& a, const Tensor& b, const char* what,
@@ -150,10 +147,9 @@ baselines::BaselineConfig SmallBaselineConfig() {
 }
 
 // Compares the batched forwards of `model` against its per-sequence path on
-// a B-sequence batch: kBatchedBound at B > 1; at B = 1 within `b1_bound`,
-// or bitwise when it is 0.
+// a B-sequence batch: bitwise at B = 1, within kBatchedBound at B > 1.
 void CheckModel(core::SequenceModel* model, Index b, std::uint64_t seed,
-                bool expect_native, Scalar b1_bound = 0.0) {
+                bool expect_native) {
   const std::vector<data::IrregularSeries> series = MakeBatchSeries(b, seed);
   std::vector<const data::IrregularSeries*> ptrs;
   for (const auto& s : series) ptrs.push_back(&s);
@@ -171,24 +167,22 @@ void CheckModel(core::SequenceModel* model, Index b, std::uint64_t seed,
     const data::IrregularSeries& s = series[static_cast<std::size_t>(r)];
     const Tensor ref_logits = model->ClassifyLogits(s).value();
     (void)model->TakeAuxiliaryLoss();
-    if (b == 1 && b1_bound == 0.0) {
+    if (b == 1) {
       ExpectBitwiseEqual(logits.Row(r), ref_logits, "logits");
     } else {
-      ExpectClose(logits.Row(r), ref_logits, "logits",
-                  b == 1 ? b1_bound : kBatchedBound);
+      ExpectClose(logits.Row(r), ref_logits, "logits");
     }
     const std::vector<ag::Var> ref_preds =
         model->PredictAt(s, times[static_cast<std::size_t>(r)]);
     (void)model->TakeAuxiliaryLoss();
     ASSERT_EQ(preds[static_cast<std::size_t>(r)].size(), ref_preds.size());
     for (std::size_t k = 0; k < ref_preds.size(); ++k) {
-      if (b == 1 && b1_bound == 0.0) {
+      if (b == 1) {
         ExpectBitwiseEqual(preds[static_cast<std::size_t>(r)][k],
                            ref_preds[k].value(), "pred");
       } else {
         ExpectClose(preds[static_cast<std::size_t>(r)][k],
-                    ref_preds[k].value(), "pred",
-                    b == 1 ? b1_bound : kBatchedBound);
+                    ref_preds[k].value(), "pred");
       }
     }
   }
@@ -232,25 +226,20 @@ TEST(SequenceBatchTest, UnionGridAndPaddingInvariants) {
 }
 
 TEST(BatchedEquivTest, DiffOdeMatchesPerSequence) {
+  // Every integration scheme the engine replays: midpoint (the default),
+  // Euler and RK4.
   for (simd::Isa isa : SupportedIsas()) {
     IsaGuard ig(isa);
     for (int threads : {1, 4}) {
       ThreadCountGuard tg(threads);
-      core::DiffOde model(SmallConfig());
-      for (Index b : {1, 3, 8})
-        CheckModel(&model, b, 100 + b, true, kDiffOdeB1Bound);
+      for (ode::DiffMethod method :
+           {ode::DiffMethod::kMidpoint, ode::DiffMethod::kEuler,
+            ode::DiffMethod::kRk4}) {
+        core::DiffOde model(SmallConfig());
+        model.set_diff_method(method);
+        for (Index b : {1, 3, 8}) CheckModel(&model, b, 100 + b, true);
+      }
     }
-  }
-}
-
-TEST(BatchedEquivTest, DiffOdeEulerAndRk4MatchPerSequence) {
-  // The default scheme is midpoint; the engine's Euler and RK4 branches
-  // replay the same stage structure as the per-sequence steppers.
-  for (ode::DiffMethod method : {ode::DiffMethod::kEuler, ode::DiffMethod::kRk4}) {
-    core::DiffOde model(SmallConfig());
-    model.set_diff_method(method);
-    for (Index b : {1, 3, 8})
-      CheckModel(&model, b, 150 + b, true, kDiffOdeB1Bound);
   }
 }
 
@@ -326,51 +315,32 @@ TEST(BatchedEquivTest, DiffOdeVariantsMatchPerSequence) {
   std::uint64_t seed = 300;
   for (const core::DiffOdeConfig& config : configs) {
     core::DiffOde model(config);
-    CheckModel(&model, 1, seed += 17, true, kDiffOdeB1Bound);
-    CheckModel(&model, 3, seed += 17, true, kDiffOdeB1Bound);
-  }
-}
-
-TEST(BatchedEquivTest, OdeRnnMatchesPerSequence) {
-  for (simd::Isa isa : SupportedIsas()) {
-    IsaGuard ig(isa);
-    for (int threads : {1, 4}) {
-      ThreadCountGuard tg(threads);
-      auto model = baselines::MakeBaseline("ODE-RNN", SmallBaselineConfig());
-      for (Index b : {1, 3, 8}) CheckModel(model.get(), b, 500 + b, true);
-    }
-  }
-}
-
-TEST(BatchedEquivTest, GruDMatchesPerSequence) {
-  for (simd::Isa isa : SupportedIsas()) {
-    IsaGuard ig(isa);
-    for (int threads : {1, 4}) {
-      ThreadCountGuard tg(threads);
-      auto model = baselines::MakeBaseline("GRU-D", SmallBaselineConfig());
-      for (Index b : {1, 3, 8}) CheckModel(model.get(), b, 700 + b, true);
-    }
+    CheckModel(&model, 1, seed += 17, true);
+    CheckModel(&model, 3, seed += 17, true);
   }
 }
 
 TEST(BatchedEquivTest, FallbackLoopServesNonLockstepModels) {
-  // Plain GRU has no native lockstep engine; BatchedDispatch must serve it
-  // through the per-sequence loop with identical (bitwise) results.
-  auto model = baselines::MakeBaseline("GRU", SmallBaselineConfig());
-  for (Index b : {1, 3}) {
-    const std::vector<data::IrregularSeries> series = MakeBatchSeries(b, 900);
-    std::vector<const data::IrregularSeries*> ptrs;
-    for (const auto& s : series) ptrs.push_back(&s);
-    const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
-    core::BatchedDispatch dispatch(model.get());
-    EXPECT_FALSE(dispatch.native());
-    const Tensor logits = dispatch.ClassifyLogitsBatched(batch);
-    ag::NoGradScope no_grad;
-    for (Index r = 0; r < b; ++r)
-      ExpectBitwiseEqual(
-          logits.Row(r),
-          model->ClassifyLogits(*ptrs[static_cast<std::size_t>(r)]).value(),
-          "fallback logits");
+  // The baselines have no native lockstep engine; BatchedDispatch must serve
+  // them through the per-sequence loop with identical (bitwise) results.
+  for (const char* name : {"GRU", "GRU-D", "ODE-RNN"}) {
+    auto model = baselines::MakeBaseline(name, SmallBaselineConfig());
+    for (Index b : {1, 3}) {
+      const std::vector<data::IrregularSeries> series =
+          MakeBatchSeries(b, 900);
+      std::vector<const data::IrregularSeries*> ptrs;
+      for (const auto& s : series) ptrs.push_back(&s);
+      const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+      core::BatchedDispatch dispatch(model.get());
+      EXPECT_FALSE(dispatch.native()) << name;
+      const Tensor logits = dispatch.ClassifyLogitsBatched(batch);
+      ag::NoGradScope no_grad;
+      for (Index r = 0; r < b; ++r)
+        ExpectBitwiseEqual(
+            logits.Row(r),
+            model->ClassifyLogits(*ptrs[static_cast<std::size_t>(r)]).value(),
+            name);
+    }
   }
 }
 

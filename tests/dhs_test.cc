@@ -61,13 +61,14 @@ TEST(RecoverPVarTest, MatchesPlainTensorPath) {
       sparsity::AttentionInverse::Build(f.z.value(), 0.0);
   for (auto strategy : {sparsity::PtStrategy::kMinNorm,
                         sparsity::PtStrategy::kMaxHoyer}) {
-    Var p_var = RecoverPVar(f.ctx, f.s, strategy, Var());
+    Var p_var = RecoverPVar(f.ctx, f.s, strategy);
     Tensor p_ref = sparsity::RecoverP(ref, f.s.value(), strategy);
     EXPECT_LT((p_var.value() - p_ref).MaxAbs(), 1e-8);
   }
   Rng rng(4);
   Var h = ag::Constant(rng.NormalTensor(Shape{1, 12}));
-  Var p_var = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kAdaH, h);
+  CacheAdaHCorrection(&f.ctx, h);
+  Var p_var = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kAdaH);
   Tensor h_t = h.value();
   Tensor p_ref =
       sparsity::RecoverP(ref, f.s.value(), sparsity::PtStrategy::kAdaH, &h_t);
@@ -76,7 +77,7 @@ TEST(RecoverPVarTest, MatchesPlainTensorPath) {
 
 TEST(RecoverPVarTest, RoundTripReconstructsS) {
   Fixture f = Fixture::Make(12, 4, 5);
-  Var p = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kMaxHoyer, Var());
+  Var p = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kMaxHoyer);
   Var s_rec = ag::MatMul(p, f.ctx.z);
   EXPECT_LT((s_rec.value() - f.s.value()).MaxAbs(), 1e-8);
   EXPECT_NEAR(p.value().Sum(), 1.0, 1e-8);
@@ -92,8 +93,8 @@ TEST(RecoverPVarTest, ShortContextHasNoNullSpaceCorrection) {
     DhsContext ctx = BuildDhsContext(z, 1e-6);
     EXPECT_EQ(ctx.ap_total.value().item(), 0.0);
     Var s = DhsForward(ctx, query);
-    Var b = RecoverPVar(ctx, s, sparsity::PtStrategy::kMinNorm, Var());
-    Var p = RecoverPVar(ctx, s, sparsity::PtStrategy::kMaxHoyer, Var());
+    Var b = RecoverPVar(ctx, s, sparsity::PtStrategy::kMinNorm);
+    Var p = RecoverPVar(ctx, s, sparsity::PtStrategy::kMaxHoyer);
     EXPECT_EQ((p.value() - b.value()).MaxAbs(), 0.0) << "n=" << n;
     const Scalar scale = 1.0 / std::sqrt(8.0);
     const Tensor attn =
@@ -105,22 +106,36 @@ TEST(RecoverPVarTest, ShortContextHasNoNullSpaceCorrection) {
 }
 
 TEST(RecoverPVarTest, GradientFlowsToZAndS) {
-  Fixture f = Fixture::Make(7, 3, 6);
-  auto scalar_fn = [&] {
-    DhsContext ctx = BuildDhsContext(f.z, 1e-9);
-    Var s = DhsForward(ctx, f.query);
-    Var p = RecoverPVar(ctx, s, sparsity::PtStrategy::kMaxHoyer, Var());
-    return ag::Mean(ag::Square(p));
-  };
-  EXPECT_LT(testing::MaxGradError(f.query, scalar_fn, 1e-6), 1e-4);
-  EXPECT_LT(testing::MaxGradError(f.z, scalar_fn, 1e-6), 1e-4);
+  // Every strategy's hand-derived backward against finite differences, with
+  // respect to the query (through S) and Z (through the factorization); adaH
+  // also with respect to its free vector h.
+  for (auto strategy :
+       {sparsity::PtStrategy::kMaxHoyer, sparsity::PtStrategy::kMinNorm,
+        sparsity::PtStrategy::kAdaH}) {
+    Fixture f = Fixture::Make(7, 3, 6);
+    Rng rng(7);
+    Var h = ag::Param(rng.NormalTensor(Shape{1, 7}));
+    auto scalar_fn = [&] {
+      DhsContext ctx = BuildDhsContext(f.z, 1e-9);
+      if (strategy == sparsity::PtStrategy::kAdaH) CacheAdaHCorrection(&ctx, h);
+      Var s = DhsForward(ctx, f.query);
+      Var p = RecoverPVar(ctx, s, strategy);
+      return ag::Mean(ag::Square(p));
+    };
+    const int k = static_cast<int>(strategy);
+    EXPECT_LT(testing::MaxGradError(f.query, scalar_fn, 1e-6), 1e-4) << k;
+    EXPECT_LT(testing::MaxGradError(f.z, scalar_fn, 1e-6), 1e-4) << k;
+    if (strategy == sparsity::PtStrategy::kAdaH) {
+      EXPECT_LT(testing::MaxGradError(h, scalar_fn, 1e-6), 1e-4);
+    }
+  }
 }
 
 TEST(RecoverZVarTest, MatchesPlainTensorPath) {
   Fixture f = Fixture::Make(9, 3, 7);
   Rng rng(8);
   Tensor h2_t = rng.NormalTensor(Shape{1, 9});
-  Var p = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kMaxHoyer, Var());
+  Var p = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kMaxHoyer);
   Var z_rec = RecoverZVar(f.ctx, p, ag::Constant(h2_t));
   sparsity::AttentionInverse ref =
       sparsity::AttentionInverse::Build(f.z.value(), 0.0);
@@ -135,12 +150,18 @@ TEST(RecoverZVarTest, GradientFlows) {
   auto scalar_fn = [&] {
     DhsContext ctx = BuildDhsContext(f.z, 1e-9);
     Var s = DhsForward(ctx, f.query);
-    Var p = RecoverPVar(ctx, s, sparsity::PtStrategy::kMaxHoyer, Var());
+    Var p = RecoverPVar(ctx, s, sparsity::PtStrategy::kMaxHoyer);
     Var z_rec = RecoverZVar(ctx, p, h2);
     return ag::Mean(ag::Square(z_rec));
   };
   EXPECT_LT(testing::MaxGradError(h2, scalar_fn, 1e-6), 1e-4);
   EXPECT_LT(testing::MaxGradError(f.z, scalar_fn, 1e-6), 1e-4);
+  // p as a free leaf, so every component of g_p is exercised on its own.
+  Var p = ag::Param(rng.UniformTensor(Shape{1, 6}, 0.05, 0.4));
+  auto p_fn = [&] {
+    return ag::Mean(ag::Square(RecoverZVar(f.ctx, p, h2)));
+  };
+  EXPECT_LT(testing::MaxGradError(p, p_fn, 1e-6), 1e-4);
 }
 
 // The centrepiece identity: the analytic DHS derivative (Eq. 6/12)
@@ -188,6 +209,22 @@ TEST(DhsDerivativeTest, EquivalentToExplicitMatrixForm) {
   Tensor slow = w.MatMul(z.Transposed()).MatMul(middle).MatMul(z) *
                 (1.0 / std::sqrt(static_cast<Scalar>(d)));
   EXPECT_LT((fast.value() - slow).MaxAbs(), 1e-10);
+}
+
+TEST(DhsDerivativeTest, GradientFlows) {
+  // The hand-derived backward against finite differences, with respect to
+  // w, p and Z (through the factorization).
+  Fixture f = Fixture::Make(8, 3, 14);
+  Rng rng(15);
+  Var w = ag::Param(rng.NormalTensor(Shape{1, 3}));
+  Var p = ag::Param(rng.UniformTensor(Shape{1, 8}, 0.01, 0.3));
+  auto scalar_fn = [&] {
+    DhsContext ctx = BuildDhsContext(f.z, 1e-9);
+    return ag::Mean(ag::Square(DhsDerivative(ctx, w, p)));
+  };
+  EXPECT_LT(testing::MaxGradError(w, scalar_fn, 1e-6), 1e-4);
+  EXPECT_LT(testing::MaxGradError(p, scalar_fn, 1e-6), 1e-4);
+  EXPECT_LT(testing::MaxGradError(f.z, scalar_fn, 1e-6), 1e-4);
 }
 
 TEST(DhsDerivativeTest, ZeroVelocityGivesZeroDerivative) {
