@@ -7,8 +7,8 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "core/dhs.h"
 #include "sparsity/hoyer.h"
-#include "sparsity/pt_solver.h"
 
 namespace diffode::bench {
 namespace {
@@ -40,21 +40,27 @@ int Main(int argc, char** argv) {
       sparsity::PtStrategy::kMaxHoyer, sparsity::PtStrategy::kMinNorm,
       sparsity::PtStrategy::kAdaH};
 
+  // Each context's inversion is the model's own: Z from LatentZ, the
+  // factorization from BuildDhsContext at the model's ridge, S at every
+  // observation from DhsForward, and p from the dhs.h kernel.
+  ag::NoGradScope no_grad;
   Rng rng(3);
   std::vector<std::vector<Tensor>> first_maps(3);
   const Index eval_series = std::min<Index>(8, ds.test.size());
   for (Index si = 0; si < eval_series; ++si) {
     const auto& series = ds.test[static_cast<std::size_t>(si)];
     if (series.length() < 6) continue;
-    // Forward attention rows give the DHS trajectory S_t at each time.
-    auto p_rows = model->AttentionTrajectory(series);
     Tensor z = model->LatentZ(series);
-    sparsity::AttentionInverse inv = sparsity::AttentionInverse::Build(z);
-    Tensor h_ada = rng.NormalTensor(Shape{1, z.rows()});
-    for (const auto& p_fwd : p_rows) {
-      Tensor s = p_fwd.MatMul(z);  // 1 x d hidden state
+    core::DhsContext ctx =
+        core::BuildDhsContext(ag::Constant(z), model->config().ridge);
+    core::CacheAdaHCorrection(
+        &ctx, ag::Constant(rng.NormalTensor(Shape{1, ctx.n})));
+    const core::DhsView<Scalar> view = core::ViewOf(ctx);
+    for (Index i = 0; i < ctx.n; ++i) {
+      Tensor s = core::DhsForward(ctx, ag::Constant(z.Row(i))).value();
       for (int k = 0; k < 3; ++k) {
-        Tensor p = sparsity::RecoverP(inv, s, strategies[k], &h_ada);
+        Tensor p = Tensor::Uninit(Shape{1, ctx.n});
+        core::RecoverP(view, s.data(), strategies[k], p.data());
         stats[k].hoyer += sparsity::HoyerAbs(p);
         stats[k].support += static_cast<Scalar>(
             sparsity::EffectiveSupport(p));

@@ -7,6 +7,7 @@
 
 #include "autograd/arena.h"
 #include "autograd/ops.h"
+#include "core/config.h"
 #include "core/dhs.h"
 #include "core/parallel.h"
 #include "linalg/pinv.h"
@@ -114,15 +115,6 @@ void BM_PInverseSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_PInverseSvd)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_PInverseFullRowRank(benchmark::State& state) {
-  const Index n = state.range(0);
-  Rng rng(3);
-  Tensor a = rng.NormalTensor(Shape{n / 4, n});  // wide
-  for (auto _ : state)
-    benchmark::DoNotOptimize(linalg::PInverseFullRowRank(a));
-}
-BENCHMARK(BM_PInverseFullRowRank)->Arg(32)->Arg(64)->Arg(128);
-
 void BM_Rk4StepLinearSystem(benchmark::State& state) {
   const Index n = state.range(0);
   Rng rng(4);
@@ -154,24 +146,33 @@ void BM_Dopri5LinearSystem(benchmark::State& state) {
 }
 BENCHMARK(BM_Dopri5LinearSystem)->Arg(16)->Arg(64);
 
-void BM_AttentionInverseBuild(benchmark::State& state) {
+// The model's default Gram ridge.
+const Scalar kRidge = core::DiffOdeConfig{}.ridge;
+
+// The model's per-sequence factorization, value-only as in serving.
+void BM_BuildDhsContext(benchmark::State& state) {
   const Index n = state.range(0);
   Rng rng(6);
-  Tensor z = rng.NormalTensor(Shape{n, 16});
+  ag::Var z = ag::Constant(rng.NormalTensor(Shape{n, 16}));
+  ag::NoGradScope no_grad;
   for (auto _ : state)
-    benchmark::DoNotOptimize(sparsity::AttentionInverse::Build(z));
+    benchmark::DoNotOptimize(core::BuildDhsContext(z, kRidge));
 }
-BENCHMARK(BM_AttentionInverseBuild)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_BuildDhsContext)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_RecoverPMaxHoyer(benchmark::State& state) {
   const Index n = state.range(0);
   Rng rng(7);
-  Tensor z = rng.NormalTensor(Shape{n, 16});
-  sparsity::AttentionInverse inv = sparsity::AttentionInverse::Build(z);
+  ag::NoGradScope no_grad;
+  core::DhsContext ctx = core::BuildDhsContext(
+      ag::Constant(rng.NormalTensor(Shape{n, 16})), kRidge);
+  const core::DhsView<Scalar> view = core::ViewOf(ctx);
   Tensor s = rng.NormalTensor(Shape{1, 16});
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        sparsity::RecoverP(inv, s, sparsity::PtStrategy::kMaxHoyer));
+  Tensor p(Shape{1, n});
+  for (auto _ : state) {
+    core::RecoverP(view, s.data(), sparsity::PtStrategy::kMaxHoyer, p.data());
+    benchmark::DoNotOptimize(p.data());
+  }
 }
 BENCHMARK(BM_RecoverPMaxHoyer)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
 
@@ -181,10 +182,12 @@ void BM_ExactKktSmallN(benchmark::State& state) {
   const Index n = state.range(0);
   Rng rng(8);
   Tensor z = rng.NormalTensor(Shape{n, 3});
-  sparsity::AttentionInverse inv = sparsity::AttentionInverse::Build(z);
+  ag::NoGradScope no_grad;
+  core::DhsContext ctx = core::BuildDhsContext(ag::Constant(z), kRidge);
   Tensor s = rng.NormalTensor(Shape{1, 3});
   for (auto _ : state)
-    benchmark::DoNotOptimize(sparsity::MaxHoyerExactKkt(inv, s));
+    benchmark::DoNotOptimize(
+        sparsity::MaxHoyerExactKkt(z, ctx.zt_pinv.value(), s));
 }
 BENCHMARK(BM_ExactKktSmallN)->Arg(6)->Arg(10)->Arg(14);
 

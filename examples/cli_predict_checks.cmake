@@ -1,7 +1,8 @@
 # End-to-end checks of `diffode_cli predict`'s input validation:
 #
 #   cmake -DCLI=<path/to/diffode_cli> -DWORK=<scratch dir> \
-#         -DCASE=<bad_at|short_series|bad_csv|bad_checkpoint|bad_flags> \
+#         -DCASE=<bad_at|short_series|bad_csv|bad_checkpoint|bad_flags|
+#                 bad_label> \
 #         -P cli_predict_checks.cmake
 #
 # bad_at:         a non-finite or unparsable --at exits non-zero and names
@@ -16,6 +17,9 @@
 # bad_flags:      a numeric flag that does not parse, is not finite or is
 #                 out of range, or an unknown --model, exits 1 and names the
 #                 flag (predict, plus train and generate cases).
+# bad_label:      `train --labels` on a CSV whose class label is at or
+#                 above the class-count cap (4096) exits 1 and names the
+#                 label.
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -128,6 +132,18 @@ elseif(CASE STREQUAL "bad_flags")
   expect_rejected(p "train --task=interp" "unknown --task=")
   run_cli(p generate --dataset=ushcn --out=x.csv --count=0)
   expect_rejected(p "generate --count=0" "bad --count=")
+elseif(CASE STREQUAL "bad_label")
+  run_cli(gen generate --dataset=synthetic --out=labeled.csv --count=6)
+  expect_ok(gen "generate synthetic")
+  file(READ "${WORK}/labeled.csv" content)
+  foreach(label 4096 900000000000)
+    # The last row's label column.
+    string(REGEX REPLACE ",[0-9]+\n$" ",${label}\n" bad "${content}")
+    file(WRITE "${WORK}/bad_label.csv" "${bad}")
+    run_cli(p train --data=bad_label.csv --channels=1 --labels
+            --task=classification --epochs=0)
+    expect_rejected(p "label ${label}" "bad label ${label}: ")
+  endforeach()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

@@ -37,6 +37,9 @@ using namespace diffode;
 
 using Flags = std::map<std::string, std::string>;
 
+// Upper bound of --channels, --batch and the class count.
+constexpr Index kMaxWidth = 4096;
+
 Flags ParseFlags(int argc, char** argv, int first) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
@@ -220,7 +223,7 @@ int RunTrain(const Flags& flags) {
   }
   Index channels = 0;
   train::TrainOptions options;
-  if (!NumericFlag<Index>(flags, "channels", 1, 1, 4096, &channels) ||
+  if (!NumericFlag<Index>(flags, "channels", 1, 1, kMaxWidth, &channels) ||
       !NumericFlag<Index>(flags, "epochs", 10, 0, 100000, &options.epochs) ||
       !NumericFlag<Scalar>(flags, "lr", 0.003, 0.0, 10.0, &options.lr))
     return 1;
@@ -247,6 +250,13 @@ int RunTrain(const Flags& flags) {
   if (labels) {
     Index max_label = 0;
     for (const auto& s : series) max_label = std::max(max_label, s.label);
+    if (max_label >= kMaxWidth) {
+      std::fprintf(stderr,
+                   "bad label %lld: expected an integer in [0, %lld]\n",
+                   static_cast<long long>(max_label),
+                   static_cast<long long>(kMaxWidth - 1));
+      return 1;
+    }
     ds.num_classes = max_label + 1;
   }
   data::NormalizeDataset(&ds);
@@ -308,8 +318,8 @@ int RunPredict(const Flags& flags) {
   }
   Index channels = 0;
   Index exec_batch = 0;
-  if (!NumericFlag<Index>(flags, "channels", 1, 1, 4096, &channels) ||
-      !NumericFlag<Index>(flags, "batch", 1, 1, 4096, &exec_batch))
+  if (!NumericFlag<Index>(flags, "channels", 1, 1, kMaxWidth, &channels) ||
+      !NumericFlag<Index>(flags, "batch", 1, 1, kMaxWidth, &exec_batch))
     return 1;
   auto model = MakeCliModel(flags, channels, /*num_classes=*/2);
   if (model == nullptr) return 1;

@@ -5,12 +5,9 @@
 
 namespace diffode::ag {
 
-// Differentiable inverse of a square matrix (LU under the hood).
-// Backward: dA = -A^{-T} G A^{-T}.
-Var Inverse(const Var& a);
-
-// Differentiable inverse of (A + ridge*I); the ridge stabilizes Gram
-// matrices like ZᵀZ when Z is nearly rank-deficient.
+// Differentiable inverse of (A + ridge*I) for a square A (LU under the
+// hood); the ridge stabilizes Gram matrices like ZᵀZ when Z is nearly
+// rank-deficient. Backward: dA = -B^{-T} G B^{-T} with B = A + ridge*I.
 Var RidgeInverse(const Var& a, Scalar ridge);
 
 }  // namespace diffode::ag

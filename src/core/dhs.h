@@ -11,10 +11,11 @@
 
 namespace diffode::core {
 
-// Differentiable (autograd) counterpart of sparsity::AttentionInverse: the
-// per-sequence factorization of the attention inversion, built once per
-// forward pass so gradients flow through Z, the Gram inverse, and every
-// recovery. One context per attention head (Z is the head's column slice).
+// The per-sequence factorization of the attention inversion, the only one
+// in the tree: built once per forward pass so gradients flow through Z, the
+// Gram inverse, and every recovery. One context per attention head (Z is
+// the head's column slice). Analysis code builds it from a constant Z under
+// NoGradScope and runs the kernels below on ViewOf(ctx).
 //
 // The context doubles as the per-sequence factorization cache: everything
 // that depends only on Z (and the free vectors) — Zᵀ, the Gram inverse
@@ -88,11 +89,6 @@ T RecoverP(const DhsView<T>& v, const T* s, sparsity::PtStrategy strategy,
       DIFFODE_CHECK(v.ada_corr != nullptr);
       kernels::Axpy(v.n, T(1), v.ada_corr, p);
       return T(0);
-    case sparsity::PtStrategy::kExactKkt:
-      // The combinatorial Theorem-1 search is not differentiable; the
-      // dynamics use the relaxed closed form, and the exact solver stays on
-      // the plain-tensor path (sparsity::MaxHoyerExactKkt) for analysis.
-      [[fallthrough]];
     case sparsity::PtStrategy::kMaxHoyer: {
       // p = b - (Σb - 1) (A_p J)ᵀ / (J A_p J); A_p = 0 (n <= d) keeps p = b.
       if (!HoyerCorrects(v)) return T(0);

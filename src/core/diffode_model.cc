@@ -7,7 +7,6 @@
 
 #include "data/encoding.h"
 #include "hippo/hippo.h"
-#include "tensor/kernels.h"
 
 namespace diffode::core {
 namespace {
@@ -369,27 +368,6 @@ std::vector<ag::Var> DiffOde::PredictAt(const data::IrregularSeries& context,
         ag::ConcatCols({ReadoutInput(enc, states[i]), t_var})));
   }
   return preds;
-}
-
-std::vector<Tensor> DiffOde::AttentionTrajectory(
-    const data::IrregularSeries& context) {
-  Encoded enc = Encode(context);
-  DIFFODE_CHECK(config_.use_attention);
-  const DhsContext& ctx = enc.heads[0];
-  const Scalar scale = 1.0 / std::sqrt(static_cast<Scalar>(ctx.d));
-  std::vector<Tensor> rows;
-  rows.reserve(static_cast<std::size_t>(ctx.n));
-  Tensor z = ctx.z.value();
-  for (Index i = 0; i < ctx.n; ++i) {
-    Tensor logits = z.Row(i).MatMul(z.Transposed()) * scale;
-    // Softmax: shift by the max, vectorized exp, normalize.
-    const Scalar m = logits.Max();
-    Tensor p = logits - m;
-    kernels::MapExp(p.numel(), p.data(), p.data());
-    p *= 1.0 / p.Sum();
-    rows.push_back(p);
-  }
-  return rows;
 }
 
 Tensor DiffOde::LatentZ(const data::IrregularSeries& context) {

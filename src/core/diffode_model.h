@@ -74,12 +74,6 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // Integration scheme for the unrolled (training) solver.
   void set_diff_method(ode::DiffMethod m) { diff_method_ = m; }
 
-  // Attention-weight trajectories p_t at the context observation times, on
-  // the current (trained or untrained) encoder — the data behind Fig. 3.
-  // Returns one 1 x n tensor per observation time (head 0).
-  std::vector<Tensor> AttentionTrajectory(
-      const data::IrregularSeries& context);
-
   // The latent matrix Z (n x d) for a context, evaluated with the current
   // weights — used by the Fig. 3 sparsity analysis.
   Tensor LatentZ(const data::IrregularSeries& context);

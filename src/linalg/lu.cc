@@ -1,19 +1,18 @@
 #include "linalg/lu.h"
 
 #include <cmath>
-#include <numeric>
-#include <vector>
+#include <utility>
 
 namespace diffode::linalg {
 
-Tensor Solve(const Tensor& a, const Tensor& b) {
+bool TrySolve(const Tensor& a, const Tensor& b, Scalar min_pivot,
+              Tensor* x_out) {
   const Index n = a.rows();
   DIFFODE_CHECK_EQ(a.cols(), n);
   DIFFODE_CHECK_EQ(b.rows(), n);
+  DIFFODE_CHECK(x_out != nullptr);
   Tensor lu = a;
   Tensor x = b;
-  std::vector<Index> piv(static_cast<std::size_t>(n));
-  std::iota(piv.begin(), piv.end(), 0);
   for (Index k = 0; k < n; ++k) {
     // Partial pivoting.
     Index pivot = k;
@@ -25,7 +24,7 @@ Tensor Solve(const Tensor& a, const Tensor& b) {
         pivot = i;
       }
     }
-    DIFFODE_CHECK_MSG(best > 1e-300, "singular matrix in Solve");
+    if (!(best > min_pivot)) return false;
     if (pivot != k) {
       for (Index j = 0; j < n; ++j) std::swap(lu.at(k, j), lu.at(pivot, j));
       for (Index j = 0; j < x.cols(); ++j) std::swap(x.at(k, j), x.at(pivot, j));
@@ -47,6 +46,13 @@ Tensor Solve(const Tensor& a, const Tensor& b) {
       x.at(i, c) = s / lu.at(i, i);
     }
   }
+  *x_out = std::move(x);
+  return true;
+}
+
+Tensor Solve(const Tensor& a, const Tensor& b) {
+  Tensor x;
+  DIFFODE_CHECK_MSG(TrySolve(a, b, 1e-300, &x), "singular matrix in Solve");
   return x;
 }
 

@@ -1,6 +1,7 @@
 #include "linalg/pinv.h"
 
-#include "linalg/cholesky.h"
+#include <algorithm>
+
 #include "linalg/svd.h"
 
 namespace diffode::linalg {
@@ -20,13 +21,6 @@ Tensor PInverse(const Tensor& a, Scalar tol) {
   }
   Tensor pinv_work = vs.MatMul(svd.u.Transposed());
   return wide ? pinv_work.Transposed() : pinv_work;
-}
-
-Tensor PInverseFullRowRank(const Tensor& a, Scalar ridge) {
-  DIFFODE_CHECK_LE(a.rows(), a.cols());
-  Tensor gram = a.MatMul(a.Transposed());  // m x m
-  Tensor inv = SolveSpd(gram, Tensor::Eye(a.rows()), ridge);
-  return a.Transposed().MatMul(inv);
 }
 
 }  // namespace diffode::linalg

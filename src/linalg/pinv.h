@@ -10,11 +10,6 @@ namespace diffode::linalg {
 // for the paper's generalized-inverse machinery (Definition 1).
 Tensor PInverse(const Tensor& a, Scalar tol = 1e-12);
 
-// Fast path for a full-row-rank wide matrix A (m x n, m <= n):
-// A† = Aᵀ (A Aᵀ)^{-1}, computed with a ridge-regularized Cholesky solve.
-// This matches the paper's (Zᵀ)† = Z (ZᵀZ)^{-1} identity for Zᵀ.
-Tensor PInverseFullRowRank(const Tensor& a, Scalar ridge = 1e-10);
-
 }  // namespace diffode::linalg
 
 #endif  // DIFFODE_LINALG_PINV_H_

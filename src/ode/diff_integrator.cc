@@ -59,21 +59,4 @@ ag::Var IntegrateVar(const DiffOdeFunc& f, ag::Var y0, Scalar t0, Scalar t1,
   return y;
 }
 
-std::vector<ag::Var> IntegrateVarDense(const DiffOdeFunc& f, ag::Var y0,
-                                       const std::vector<Scalar>& times,
-                                       const DiffSolveOptions& options) {
-  DIFFODE_CHECK(!times.empty());
-  std::vector<ag::Var> out;
-  out.reserve(times.size());
-  out.push_back(y0);
-  ag::Var y = std::move(y0);
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    DIFFODE_CHECK_MSG(times[i] > times[i - 1],
-                      "IntegrateVarDense needs strictly increasing times");
-    y = IntegrateVar(f, y, times[i - 1], times[i], options);
-    out.push_back(y);
-  }
-  return out;
-}
-
 }  // namespace diffode::ode

@@ -2,7 +2,6 @@
 #define DIFFODE_ODE_DIFF_INTEGRATOR_H_
 
 #include <functional>
-#include <vector>
 
 #include "autograd/variable.h"
 #include "ode/solver.h"
@@ -26,12 +25,6 @@ struct DiffSolveOptions {
 // is differentiable w.r.t. y0 and any parameters used inside f.
 ag::Var IntegrateVar(const DiffOdeFunc& f, ag::Var y0, Scalar t0, Scalar t1,
                      const DiffSolveOptions& options = {});
-
-// Differentiable dense output over a strictly increasing time grid. Returns
-// one Var per grid point, the first being y0 itself.
-std::vector<ag::Var> IntegrateVarDense(const DiffOdeFunc& f, ag::Var y0,
-                                       const std::vector<Scalar>& times,
-                                       const DiffSolveOptions& options = {});
 
 }  // namespace diffode::ode
 

@@ -3,83 +3,10 @@
 #include <cmath>
 #include <vector>
 
-#include "linalg/cholesky.h"
 #include "linalg/lu.h"
 #include "linalg/pinv.h"
 
 namespace diffode::sparsity {
-
-AttentionInverse AttentionInverse::Build(const Tensor& z, Scalar ridge) {
-  const Index n = z.rows();
-  const Index d = z.cols();
-  DIFFODE_CHECK_GE(n, 1);
-  DIFFODE_CHECK_GE(d, 1);
-  AttentionInverse inv;
-  inv.z = z;
-  // (Zᵀ)† = Z (ZᵀZ)^{-1}; ridge keeps the Gram matrix invertible when the
-  // latent codes are (nearly) collinear.
-  Tensor gram = z.Transposed().MatMul(z);  // d x d
-  Tensor gram_inv = linalg::SolveSpd(gram, Tensor::Eye(d), ridge);
-  inv.zt_pinv = z.MatMul(gram_inv);  // n x d
-  // A_p J = (I - (Zᵀ)† Zᵀ) 1 = 1 - (Zᵀ)† (Zᵀ 1).
-  Tensor zt_ones = z.ColSums().Transposed();  // d x 1, = Zᵀ 1
-  Tensor proj_ones = inv.zt_pinv.MatMul(zt_ones);  // n x 1
-  inv.ap_colsum = Tensor::Full(Shape{n, 1}, 1.0) - proj_ones;
-  inv.ap_total = inv.ap_colsum.Sum();
-  return inv;
-}
-
-Tensor RecoverP(const AttentionInverse& inv, const Tensor& s,
-                PtStrategy strategy, const Tensor* h_ada) {
-  const Index n = inv.z.rows();
-  DIFFODE_CHECK_EQ(s.numel(), inv.z.cols());
-  // b_p = (Zᵀ)† S_tᵀ as a row vector: s (1 x d) * zt_pinvᵀ (d x n).
-  Tensor b = s.Reshaped(Shape{1, inv.z.cols()})
-                 .MatMul(inv.zt_pinv.Transposed());  // 1 x n
-  switch (strategy) {
-    case PtStrategy::kMinNorm:
-      return b;
-    case PtStrategy::kAdaH: {
-      DIFFODE_CHECK(h_ada != nullptr);
-      DIFFODE_CHECK_EQ(h_ada->numel(), n);
-      // p = b + h A_pᵀ; A_p is symmetric so compute h A_p directly:
-      // (h A_p)_j = h_j - (h (Zᵀ)†) (Zᵀ)_j.
-      Tensor h_row = h_ada->Reshaped(Shape{1, n});
-      Tensor h_proj = h_row.MatMul(inv.zt_pinv)  // 1 x d
-                          .MatMul(inv.z.Transposed());  // 1 x n
-      return b + h_row - h_proj;
-    }
-    case PtStrategy::kMaxHoyer: {
-      // Eq. 32: p = b - (Σb - 1) / (J A_p J) * (A_p J)ᵀ.
-      if (std::fabs(inv.ap_total) < 1e-12) return b;  // 1 ∈ range(Z)
-      const Scalar coeff = (b.Sum() - 1.0) / inv.ap_total;
-      Tensor correction = inv.ap_colsum.Transposed() * coeff;  // 1 x n
-      return b - correction;
-    }
-    case PtStrategy::kExactKkt: {
-      Tensor exact = MaxHoyerExactKkt(inv, s);
-      if (exact.numel() == n) return exact;
-      // Fall back to the relaxed solution when the search finds nothing.
-      return RecoverP(inv, s, PtStrategy::kMaxHoyer, nullptr);
-    }
-  }
-  DIFFODE_CHECK(false);
-  return b;
-}
-
-Tensor RecoverZ(const AttentionInverse& inv, const Tensor& p,
-                const Tensor& h2) {
-  const Index n = inv.z.rows();
-  const Index d = inv.z.cols();
-  DIFFODE_CHECK_EQ(p.numel(), n);
-  DIFFODE_CHECK_EQ(h2.numel(), n);
-  const Scalar pp = p.Dot(p);
-  DIFFODE_CHECK_GT(pp, 0.0);
-  const Scalar c = p.Dot(h2) / pp;
-  // a_h = c p - 1 (row vector), z = sqrt(d) a_h (Zᵀ)†.
-  Tensor a_h = p.Reshaped(Shape{1, n}) * c - Tensor::Full(Shape{1, n}, 1.0);
-  return a_h.MatMul(inv.zt_pinv) * std::sqrt(static_cast<Scalar>(d));
-}
 
 Tensor RecoverZReference(const Tensor& z, const Tensor& p, const Tensor& h2) {
   const Index n = z.rows();
@@ -98,15 +25,17 @@ Tensor RecoverZReference(const Tensor& z, const Tensor& p, const Tensor& h2) {
   return a_h.MatMul(zt_pinv) * std::sqrt(static_cast<Scalar>(d));
 }
 
-Tensor MaxHoyerExactKkt(const AttentionInverse& inv, const Tensor& s) {
-  const Index n = inv.z.rows();
+Tensor MaxHoyerExactKkt(const Tensor& z, const Tensor& zt_pinv,
+                        const Tensor& s) {
+  const Index n = z.rows();
   DIFFODE_CHECK_LE(n, 20);
-  Tensor b = s.Reshaped(Shape{1, inv.z.cols()})
-                 .MatMul(inv.zt_pinv.Transposed());  // 1 x n
+  DIFFODE_CHECK(zt_pinv.shape() == z.shape());
+  Tensor b = s.Reshaped(Shape{1, z.cols()})
+                 .MatMul(zt_pinv.Transposed());  // 1 x n
   // A_p (n x n), built explicitly for the small-n oracle.
-  Tensor ap = Tensor::Eye(n) - inv.zt_pinv.MatMul(inv.z.Transposed());
-  const Tensor aj = inv.ap_colsum;  // A_p J, n x 1
-  const Scalar jaj = inv.ap_total;
+  Tensor ap = Tensor::Eye(n) - zt_pinv.MatMul(z.Transposed());
+  const Tensor aj = ap.RowSums();  // A_p J, n x 1
+  const Scalar jaj = aj.Sum();
   constexpr Scalar kTol = 1e-9;
 
   Tensor best;
@@ -144,39 +73,8 @@ Tensor MaxHoyerExactKkt(const AttentionInverse& inv, const Tensor& s) {
       rhs.at(1 + r, 0) = b.at(0, i);
     }
     // The system can be singular for degenerate active sets; skip those.
-    bool singular = false;
     Tensor sol;
-    {
-      // Detect singularity by checking the pivots via a rank test first.
-      // (Solve aborts on singular input, so guard with a determinant-free
-      // heuristic: attempt Cholesky-free LU on a copy.)
-      Tensor check = lhs;
-      const Index dn = dim;
-      for (Index col = 0; col < dn && !singular; ++col) {
-        Index piv = col;
-        Scalar bestv = std::fabs(check.at(col, col));
-        for (Index i2 = col + 1; i2 < dn; ++i2) {
-          if (std::fabs(check.at(i2, col)) > bestv) {
-            bestv = std::fabs(check.at(i2, col));
-            piv = i2;
-          }
-        }
-        if (bestv < 1e-12) {
-          singular = true;
-          break;
-        }
-        if (piv != col)
-          for (Index j2 = 0; j2 < dn; ++j2)
-            std::swap(check.at(col, j2), check.at(piv, j2));
-        for (Index i2 = col + 1; i2 < dn; ++i2) {
-          const Scalar f = check.at(i2, col) / check.at(col, col);
-          for (Index j2 = col; j2 < dn; ++j2)
-            check.at(i2, j2) -= f * check.at(col, j2);
-        }
-      }
-      if (singular) continue;
-      sol = linalg::Solve(lhs, rhs);
-    }
+    if (!linalg::TrySolve(lhs, rhs, 1e-12, &sol)) continue;
     const Scalar lambda = sol.at(0, 0);
     // Dual feasibility: mu >= 0.
     bool dual_ok = true;
@@ -200,7 +98,7 @@ Tensor MaxHoyerExactKkt(const AttentionInverse& inv, const Tensor& s) {
     // Ill-conditioned active sets (more constraints than the affine set's
     // dimension) can pass the pivot check yet destroy the reconstruction
     // through cancellation; verify p Z = S directly.
-    Tensor s_rec = p.MatMul(inv.z);
+    Tensor s_rec = p.MatMul(z);
     const Scalar s_scale = 1.0 + s.MaxAbs();
     if ((s_rec - s.Reshaped(s_rec.shape())).MaxAbs() > 1e-6 * s_scale)
       continue;

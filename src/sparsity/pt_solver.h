@@ -6,48 +6,27 @@
 namespace diffode::sparsity {
 
 // Strategy for picking the free vector h in the underdetermined attention
-// inversion p_tᵀ = (Zᵀ)† S_tᵀ + (I - (Zᵀ)† Zᵀ) h (paper Eq. 13).
+// inversion p_tᵀ = (Zᵀ)† S_tᵀ + (I - (Zᵀ)† Zᵀ) h (paper Eq. 13). The
+// inversion itself is core::BuildDhsContext plus the core/dhs.h kernels.
 enum class PtStrategy {
   kMaxHoyer,  // Theorem 2 closed form, Eq. 32 (the paper's default)
   kMinNorm,   // h = 0: the minimum-norm solution
   kAdaH,      // h is an externally supplied (trained) vector
-  kExactKkt,  // Theorem 1: exact non-negative KKT search, O(2^n)
 };
 
-// Per-sequence factorization of the attention inversion. Built once from the
-// latent matrix Z (n x d, n >= d assumed full column rank after ridging);
-// afterwards every recovery is O(n d).
-struct AttentionInverse {
-  Tensor z;          // n x d
-  Tensor zt_pinv;    // (Zᵀ)† = Z (ZᵀZ + ridge I)^{-1}, n x d
-  Tensor ap_colsum;  // A_p J_{n,1} with A_p = I - (Zᵀ)† Zᵀ, n x 1
-  Scalar ap_total;   // J_{1,n} A_p J_{n,1}
-
-  static AttentionInverse Build(const Tensor& z, Scalar ridge = 1e-8);
-};
-
-// Recovers the attention weights p_t (1 x n) from the hidden state s (1 x d)
-// under the chosen strategy. `h_ada` (1 x n) is required for kAdaH and
-// ignored otherwise. For kExactKkt the sequence length must be <= 20.
-Tensor RecoverP(const AttentionInverse& inv, const Tensor& s,
-                PtStrategy strategy, const Tensor* h_ada = nullptr);
-
-// Recovers the latent code z_t (1 x d) from p_t via the paper's Eq. 34,
-// using the analytic rank-one identity
-//   I - M M† = pᵀp / (p pᵀ)  for  M = J_{n,1} p - I_n   (since Σp = 1),
-// so a_h = ((h₂·p)/(p·p)) p - 1 and z_t = sqrt(d) a_h (Zᵀ)†.
-Tensor RecoverZ(const AttentionInverse& inv, const Tensor& p,
-                const Tensor& h2);
-
-// Reference implementation of Eq. 34 with an explicit SVD pseudoinverse of
-// M = J_{n,1} p - I_n; used in tests to validate the rank-one fast path.
+// Reference implementation of Eq. 34 with explicit SVD pseudoinverses of
+// M = J_{n,1} p - I_n and Zᵀ; used in tests to validate the rank-one fast
+// path of core::RecoverZ.
 Tensor RecoverZReference(const Tensor& z, const Tensor& p, const Tensor& h2);
 
 // Theorem-1 oracle: exact maximization of p pᵀ subject to p = b + A_p h,
-// p >= 0, Σp = 1, by enumerating KKT active sets. Exponential in n; used to
-// validate the relaxed closed form and exposed for analysis on short
-// sequences. Returns an empty tensor if no feasible KKT point exists.
-Tensor MaxHoyerExactKkt(const AttentionInverse& inv, const Tensor& s);
+// p >= 0, Σp = 1, by enumerating KKT active sets, given Z (n x d), a
+// factorization's (Zᵀ)† (n x d) and the hidden state s (1 x d); b and
+// A_p = I - (Zᵀ)† Zᵀ are formed from them. Exponential in n (n <= 20);
+// used to validate the relaxed closed form on short sequences. Returns an
+// empty tensor if no feasible KKT point exists.
+Tensor MaxHoyerExactKkt(const Tensor& z, const Tensor& zt_pinv,
+                        const Tensor& s);
 
 }  // namespace diffode::sparsity
 

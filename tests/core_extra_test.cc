@@ -131,24 +131,16 @@ TEST(CoreExtraTest, GradientsReachEveryParameter) {
   EXPECT_GE(with_grad, total - 2);
 }
 
-TEST(CoreExtraTest, AttentionTrajectoryLengthTracksContext) {
-  DiffOde model(FastConfig(1));
-  for (Index n : {4, 9, 15}) {
-    data::IrregularSeries s = MakeSeries(n, 1, 7);
-    auto rows = model.AttentionTrajectory(s);
-    EXPECT_EQ(static_cast<Index>(rows.size()), n);
-    for (const auto& p : rows) EXPECT_EQ(p.numel(), n);
-  }
-}
-
 TEST(CoreExtraTest, LatentZShapeAndDeterminism) {
   DiffOde model(FastConfig(2));
-  data::IrregularSeries s = MakeSeries(6, 2, 8);
-  Tensor z1 = model.LatentZ(s);
-  Tensor z2 = model.LatentZ(s);
-  EXPECT_EQ(z1.rows(), 6);
-  EXPECT_EQ(z1.cols(), 8);
-  EXPECT_EQ((z1 - z2).MaxAbs(), 0.0);
+  for (Index n : {4, 6, 9, 15}) {
+    data::IrregularSeries s = MakeSeries(n, 2, 8);
+    Tensor z1 = model.LatentZ(s);
+    Tensor z2 = model.LatentZ(s);
+    EXPECT_EQ(z1.rows(), n);
+    EXPECT_EQ(z1.cols(), 8);
+    EXPECT_EQ((z1 - z2).MaxAbs(), 0.0);
+  }
 }
 
 TEST(CoreExtraTest, TwoObservationMinimumContext) {

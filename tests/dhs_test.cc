@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <utility>
 
 #include "gradcheck.h"
+#include "linalg/pinv.h"
 #include "sparsity/pt_solver.h"
 #include "tensor/random.h"
 
@@ -30,13 +33,21 @@ struct Fixture {
   }
 };
 
-TEST(DhsContextTest, MatchesPlainTensorFactorization) {
-  Fixture f = Fixture::Make(10, 4, 1);
-  sparsity::AttentionInverse ref =
-      sparsity::AttentionInverse::Build(f.z.value(), 0.0);
-  EXPECT_LT((f.ctx.zt_pinv.value() - ref.zt_pinv).MaxAbs(), 1e-8);
-  EXPECT_LT((f.ctx.ap_colsum.value() - ref.ap_colsum).MaxAbs(), 1e-8);
-  EXPECT_NEAR(f.ctx.ap_total.value().item(), ref.ap_total, 1e-8);
+// The factorization against the SVD Moore-Penrose pseudoinverse (Definition
+// 1): (Zᵀ)† and A_p J = (I - (Zᵀ)† Zᵀ) 1.
+TEST(DhsContextTest, MatchesSvdPseudoinverse) {
+  for (Index n : {10, 20, 40}) {
+    Fixture f = Fixture::Make(n, 4, static_cast<std::uint64_t>(n));
+    const Tensor zt = f.z.value().Transposed();
+    const Tensor pinv = linalg::PInverse(zt);
+    const Tensor ap_colsum =
+        (Tensor::Eye(n) - pinv.MatMul(zt)).MatMul(Tensor::Ones(Shape{n, 1}));
+    EXPECT_LT((f.ctx.zt_pinv.value() - pinv).MaxAbs(), 1e-10) << "n=" << n;
+    EXPECT_LT((f.ctx.ap_colsum.value() - ap_colsum).MaxAbs(), 1e-10)
+        << "n=" << n;
+    EXPECT_NEAR(f.ctx.ap_total.value().item(), ap_colsum.Sum(), 1e-10)
+        << "n=" << n;
+  }
 }
 
 TEST(DhsForwardTest, IsConvexCombinationOfRows) {
@@ -55,32 +66,54 @@ TEST(DhsForwardTest, IsConvexCombinationOfRows) {
   }
 }
 
-TEST(RecoverPVarTest, MatchesPlainTensorPath) {
-  Fixture f = Fixture::Make(12, 4, 3);
-  sparsity::AttentionInverse ref =
-      sparsity::AttentionInverse::Build(f.z.value(), 0.0);
-  for (auto strategy : {sparsity::PtStrategy::kMinNorm,
-                        sparsity::PtStrategy::kMaxHoyer}) {
-    Var p_var = RecoverPVar(f.ctx, f.s, strategy);
-    Tensor p_ref = sparsity::RecoverP(ref, f.s.value(), strategy);
-    EXPECT_LT((p_var.value() - p_ref).MaxAbs(), 1e-8);
+TEST(RecoverPVarTest, MatchesSvdClosedForms) {
+  // Eq. 13 (min-norm, adaH) and Eq. 32 (max-Hoyer) written with the SVD
+  // pseudoinverse: b = S (Zᵀ)†ᵀ, p = b + h A_p, p = b - (Σb - 1) (A_p J)ᵀ /
+  // (J A_p J).
+  for (Index n : {10, 20, 40}) {
+    Fixture f = Fixture::Make(n, 4, static_cast<std::uint64_t>(n));
+    const Tensor zt = f.z.value().Transposed();
+    const Tensor pinv = linalg::PInverse(zt);
+    const Tensor ap = Tensor::Eye(n) - pinv.MatMul(zt);
+    const Tensor aj = ap.RowSums().Transposed();
+    const Tensor b = f.s.value().MatMul(pinv.Transposed());
+    Rng rng(static_cast<std::uint64_t>(n) + 1);
+    const Tensor h = rng.NormalTensor(Shape{1, n});
+    CacheAdaHCorrection(&f.ctx, ag::Constant(h));
+    const std::pair<sparsity::PtStrategy, Tensor> cases[] = {
+        {sparsity::PtStrategy::kMinNorm, b},
+        {sparsity::PtStrategy::kAdaH, b + h.MatMul(ap)},
+        {sparsity::PtStrategy::kMaxHoyer,
+         b - aj * ((b.Sum() - 1.0) / aj.Sum())}};
+    for (const auto& [strategy, expected] : cases) {
+      EXPECT_LT((RecoverPVar(f.ctx, f.s, strategy).value() - expected)
+                    .MaxAbs(),
+                1e-10)
+          << "n=" << n << " strategy " << static_cast<int>(strategy);
+    }
   }
-  Rng rng(4);
-  Var h = ag::Constant(rng.NormalTensor(Shape{1, 12}));
-  CacheAdaHCorrection(&f.ctx, h);
-  Var p_var = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kAdaH);
-  Tensor h_t = h.value();
-  Tensor p_ref =
-      sparsity::RecoverP(ref, f.s.value(), sparsity::PtStrategy::kAdaH, &h_t);
-  EXPECT_LT((p_var.value() - p_ref).MaxAbs(), 1e-8);
 }
 
 TEST(RecoverPVarTest, RoundTripReconstructsS) {
-  Fixture f = Fixture::Make(12, 4, 5);
-  Var p = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kMaxHoyer);
-  Var s_rec = ag::MatMul(p, f.ctx.z);
-  EXPECT_LT((s_rec.value() - f.s.value()).MaxAbs(), 1e-8);
-  EXPECT_NEAR(p.value().Sum(), 1.0, 1e-8);
+  // Any admissible p must satisfy p Z = S (the recovery is a right inverse);
+  // max-Hoyer's p also sums to one.
+  for (auto [n, d, seed] : {std::tuple<Index, Index, std::uint64_t>{12, 4, 5},
+                            {12, 4, 4},
+                            {15, 5, 5}}) {
+    Fixture f = Fixture::Make(n, d, seed);
+    Rng rng(99);
+    CacheAdaHCorrection(&f.ctx, ag::Constant(rng.NormalTensor(Shape{1, n})));
+    for (auto strategy :
+         {sparsity::PtStrategy::kMaxHoyer, sparsity::PtStrategy::kMinNorm,
+          sparsity::PtStrategy::kAdaH}) {
+      Var p = RecoverPVar(f.ctx, f.s, strategy);
+      Var s_rec = ag::MatMul(p, f.ctx.z);
+      EXPECT_LT((s_rec.value() - f.s.value()).MaxAbs(), 1e-8)
+          << n << "x" << d << " strategy " << static_cast<int>(strategy);
+    }
+    Var p = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kMaxHoyer);
+    EXPECT_NEAR(p.value().Sum(), 1.0, 1e-8) << n << "x" << d;
+  }
 }
 
 TEST(RecoverPVarTest, ShortContextHasNoNullSpaceCorrection) {
@@ -131,16 +164,20 @@ TEST(RecoverPVarTest, GradientFlowsToZAndS) {
   }
 }
 
-TEST(RecoverZVarTest, MatchesPlainTensorPath) {
+TEST(RecoverZVarTest, MatchesSvdReference) {
+  // The rank-one fast path of Eq. 34 against explicit SVD pseudoinverses, at
+  // the recovered p and at the forward attention weights.
   Fixture f = Fixture::Make(9, 3, 7);
   Rng rng(8);
-  Tensor h2_t = rng.NormalTensor(Shape{1, 9});
-  Var p = RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kMaxHoyer);
-  Var z_rec = RecoverZVar(f.ctx, p, ag::Constant(h2_t));
-  sparsity::AttentionInverse ref =
-      sparsity::AttentionInverse::Build(f.z.value(), 0.0);
-  Tensor z_ref = sparsity::RecoverZ(ref, p.value(), h2_t);
-  EXPECT_LT((z_rec.value() - z_ref).MaxAbs(), 1e-8);
+  Tensor h2 = rng.NormalTensor(Shape{1, 9});
+  Var attn = ag::Softmax(
+      ag::MulScalar(ag::MatMulNT(f.query, f.z), 1.0 / std::sqrt(3.0)));
+  for (const Var& p :
+       {RecoverPVar(f.ctx, f.s, sparsity::PtStrategy::kMaxHoyer), attn}) {
+    Var z_rec = RecoverZVar(f.ctx, p, ag::Constant(h2));
+    Tensor z_ref = sparsity::RecoverZReference(f.z.value(), p.value(), h2);
+    EXPECT_LT((z_rec.value() - z_ref).MaxAbs(), 1e-8);
+  }
 }
 
 TEST(RecoverZVarTest, GradientFlows) {

@@ -159,17 +159,6 @@ TEST(DiffOdeModelTest, RegressionLossDecreasesWithTraining) {
   EXPECT_LT(last_loss, first_loss * 0.5);
 }
 
-TEST(DiffOdeModelTest, AttentionTrajectoryRowsAreDistributions) {
-  DiffOde model(FastConfig(2));
-  data::IrregularSeries s = MakeSeries(8, 2, 9);
-  auto rows = model.AttentionTrajectory(s);
-  ASSERT_EQ(rows.size(), 8u);
-  for (const auto& p : rows) {
-    EXPECT_NEAR(p.Sum(), 1.0, 1e-10);
-    for (Index i = 0; i < p.numel(); ++i) EXPECT_GE(p[i], 0.0);
-  }
-}
-
 TEST(DiffOdeModelTest, DeterministicAcrossIdenticalSeeds) {
   DiffOdeConfig config = FastConfig(2);
   DiffOde m1(config), m2(config);

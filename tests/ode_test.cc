@@ -194,11 +194,14 @@ TEST(DiffIntegratorTest, DenseGradientThroughMultiplePoints) {
     DiffSolveOptions options;
     options.method = DiffMethod::kMidpoint;
     options.step = 0.1;
-    auto states = IntegrateVarDense(f, ag::Constant(Tensor::Ones(Shape{1, 1})),
-                                    {0.0, 0.5, 1.0, 2.0}, options);
-    ag::Var acc = states[1];
-    for (std::size_t i = 2; i < states.size(); ++i)
-      acc = ag::Add(acc, states[i]);
+    // Chained segments, as DiffOde::StatesAt reads several points.
+    const std::vector<Scalar> times = {0.0, 0.5, 1.0, 2.0};
+    ag::Var y = ag::Constant(Tensor::Ones(Shape{1, 1}));
+    ag::Var acc;
+    for (std::size_t i = 1; i < times.size(); ++i) {
+      y = IntegrateVar(f, y, times[i - 1], times[i], options);
+      acc = i == 1 ? y : ag::Add(acc, y);
+    }
     return ag::Sum(acc);
   };
   EXPECT_LT(diffode::testing::MaxGradError(k, scalar_fn), 1e-6);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/config.h"
 #include "core/dhs.h"
 #include "linalg/pinv.h"
 #include "ode/solver.h"
@@ -69,14 +70,18 @@ TEST_P(AttentionGridTest, RecoveryReconstructsSAndSumsToOne) {
   const Index d = std::get<1>(GetParam());
   Rng rng(static_cast<std::uint64_t>(n * 100 + d));
   Tensor z = rng.NormalTensor(Shape{n, d});
-  sparsity::AttentionInverse inv = sparsity::AttentionInverse::Build(z);
+  ag::NoGradScope no_grad;
+  core::DhsContext ctx =
+      core::BuildDhsContext(ag::Constant(z), core::DiffOdeConfig{}.ridge);
   // Random softmax attention and its DHS.
   Tensor logits = rng.NormalTensor(Shape{1, n});
   const Scalar m = logits.Max();
   Tensor p_true = logits.Map([m](Scalar x) { return std::exp(x - m); });
   p_true *= 1.0 / p_true.Sum();
   Tensor s = p_true.MatMul(z);
-  Tensor p = sparsity::RecoverP(inv, s, sparsity::PtStrategy::kMaxHoyer);
+  Tensor p = core::RecoverPVar(ctx, ag::Constant(s),
+                               sparsity::PtStrategy::kMaxHoyer)
+                 .value();
   EXPECT_LT((p.MatMul(z) - s).MaxAbs(), 1e-6) << n << "x" << d;
   EXPECT_NEAR(p.Sum(), 1.0, 1e-6) << n << "x" << d;
 }
@@ -194,13 +199,15 @@ TEST_P(KktSweepTest, ExactSolutionFeasibleAndReconstructs) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
   const Index n = 8, d = 3;
   Tensor z = rng.NormalTensor(Shape{n, d});
-  sparsity::AttentionInverse inv = sparsity::AttentionInverse::Build(z);
+  ag::NoGradScope no_grad;
+  core::DhsContext ctx =
+      core::BuildDhsContext(ag::Constant(z), core::DiffOdeConfig{}.ridge);
   Tensor logits = rng.NormalTensor(Shape{1, n});
   const Scalar m = logits.Max();
   Tensor p_true = logits.Map([m](Scalar x) { return std::exp(x - m); });
   p_true *= 1.0 / p_true.Sum();
   Tensor s = p_true.MatMul(z);
-  Tensor p = sparsity::MaxHoyerExactKkt(inv, s);
+  Tensor p = sparsity::MaxHoyerExactKkt(z, ctx.zt_pinv.value(), s);
   if (p.numel() == 0) GTEST_SKIP() << "no KKT point for this instance";
   EXPECT_NEAR(p.Sum(), 1.0, 1e-6);
   for (Index i = 0; i < n; ++i) EXPECT_GE(p[i], -1e-6);
