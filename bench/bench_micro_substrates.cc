@@ -1,9 +1,13 @@
 // google-benchmark micro-benchmarks for the numeric substrates: tensor
-// algebra, pseudoinverses, ODE solver steps, the DHS derivative, and the
-// attention inversion. These quantify the per-step costs behind the
+// algebra, pseudoinverses, ODE solver steps, the DHS derivative, the
+// attention inversion and the DIFFODE right-hand side. These quantify the per-step costs behind the
 // complexity rows of Table V.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "autograd/arena.h"
 #include "autograd/ops.h"
@@ -441,22 +445,143 @@ BENCHMARK(BM_SelectScatterRowsIsa)
     ->Args({1, 256, 128})
     ->Args({2, 256, 128});
 
-// One head's Eq. 12 derivative as the per-sequence RHS builds it: the
-// DhsDerivative tape op, one node around the shared Derivative kernel of
-// core/dhs.h (the lockstep engine runs the same kernel per row).
+// One head's Eq. 12 derivative: the Derivative kernel of core/dhs.h that
+// the DIFFODE RHS runs per row and head.
 void BM_DhsDerivative(benchmark::State& state) {
   const Index n = state.range(0);
   const Index d = 16;
   Rng rng(9);
-  ag::Var z = ag::Constant(rng.NormalTensor(Shape{n, d}));
-  core::DhsContext ctx = core::BuildDhsContext(z, 1e-8);
-  ag::Var w = ag::Constant(rng.NormalTensor(Shape{1, d}));
+  ag::NoGradScope no_grad;
+  core::DhsContext ctx = core::BuildDhsContext(
+      ag::Constant(rng.NormalTensor(Shape{n, d})), 1e-8);
+  const core::DhsView<Scalar> view = core::ViewOf(ctx);
+  Tensor w = rng.NormalTensor(Shape{1, d});
   Tensor raw = rng.UniformTensor(Shape{1, n}, 0.01, 1.0);
-  ag::Var p = ag::Constant(raw * (1.0 / raw.Sum()));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::DhsDerivative(ctx, w, p));
+  Tensor p = raw * (1.0 / raw.Sum());
+  Tensor scratch(Shape{1, 3 * n + 2 * d});
+  Tensor ds(Shape{1, d});
+  for (auto _ : state) {
+    core::Derivative(view, w.data(), p.data(), scratch.data(), ds.data());
+    benchmark::DoNotOptimize(ds.data());
+  }
 }
 BENCHMARK(BM_DhsDerivative)->Arg(32)->Arg(128)->Arg(512);
+
+// The DIFFODE right-hand side at perfbench's sizes: d = 16, d_c = d_r = 12,
+// hidden 32, a context of n = 60 observations, one head, max-Hoyer and the
+// HiPPO head. Weights and the factorization are random leaves, so the two
+// benchmarks below time the RHS alone.
+struct RhsBench {
+  static constexpr Index kN = 60;
+  core::RhsDims dims;
+  std::vector<ag::Var> layers;  // φ, f_r, w_r: weight then bias
+  std::vector<core::DhsContext> heads;
+  ag::Var h2;
+  core::RhsInputs in;
+
+  RhsBench() {
+    dims.d = 16;
+    dims.dc = 12;
+    dims.dr = 12;
+    dims.hidden = 32;
+    Rng rng(27);
+    const Index d = dims.d, h = dims.hidden;
+    const Index shapes[][2] = {{d + 1, h}, {h, d},
+                               {d + dims.dc + dims.dr, h}, {h, dims.dr},
+                               {dims.dr, 1}};
+    for (const auto& s : shapes) {
+      layers.push_back(ag::Param(
+          rng.NormalTensor(Shape{s[0], s[1]}) *
+          (1.0 / std::sqrt(static_cast<Scalar>(s[0])))));
+      layers.push_back(ag::Param(rng.NormalTensor(Shape{1, s[1]}) * 0.1));
+    }
+    core::DhsContext ctx;
+    {
+      ag::NoGradScope no_grad;
+      ctx = core::BuildDhsContext(
+          ag::Constant(rng.NormalTensor(Shape{kN, d})), kRidge);
+    }
+    // The factorization as leaves, as a sequence's shared nodes are to
+    // every RHS node of its unroll.
+    for (ag::Var* v : {&ctx.z, &ctx.zt_pinv, &ctx.ap_rowsum, &ctx.ap_total})
+      *v = ag::Param(v->value());
+    heads.push_back(ctx);
+    h2 = ag::Param(rng.NormalTensor(Shape{1, kN}));
+    in.dims = dims;
+    for (const ag::Var& v : layers) in.layers.push_back(&v);
+    in.hippo_a_t = ag::Constant(rng.NormalTensor(Shape{dims.dc, dims.dc}));
+    in.hippo_b_t = ag::Constant(rng.NormalTensor(Shape{1, dims.dc}));
+    in.heads = &heads;
+    in.h2 = &h2;
+  }
+
+  // y = [S | c | r] with S inside Z's convex hull, as the solver sees it.
+  Tensor State(Rng& rng) const {
+    Tensor y = rng.NormalTensor(Shape{1, dims.StateDim()}) * 0.3;
+    Tensor raw = rng.UniformTensor(Shape{1, kN}, 0.01, 1.0);
+    const Tensor s = (raw * (1.0 / raw.Sum())).MatMul(heads[0].z.value());
+    std::copy_n(s.data(), dims.d, y.data());
+    return y;
+  }
+};
+
+// One per-sequence RHS evaluation as training runs it: the RhsVar tape node
+// (forward) and its backward, on a warm arena and buffer pool.
+void BM_DiffOdeRhsNode(benchmark::State& state) {
+  RhsBench bench;
+  Rng rng(28);
+  ag::Var y = ag::Param(bench.State(rng));
+  const Tensor seed = rng.NormalTensor(Shape{1, bench.dims.StateDim()});
+  for (auto _ : state) {
+    ag::TapeArena::Scope arena_scope;
+    tensor::BufferPool::Scope pool_scope;
+    {
+      ag::Var k = core::RhsVar(bench.in, 0.5, y);
+      k.Backward(seed);
+    }
+    ag::TapeArena::ThreadLocal().Reset();
+  }
+}
+BENCHMARK(BM_DiffOdeRhsNode);
+
+// The lockstep engine's per-wave RHS at B = 32: DiffOdeRhs over 32 rows (one
+// shared context), forward only. Divide by 32 for the per-row cost.
+void BM_DiffOdeRhsWave(benchmark::State& state) {
+  const Index b = 32;
+  RhsBench bench;
+  Rng rng(29);
+  const Index sd = bench.dims.StateDim();
+  Tensor y(Shape{b, sd});
+  for (Index i = 0; i < b; ++i) {
+    const Tensor row = bench.State(rng);
+    std::copy_n(row.data(), sd, y.data() + i * sd);
+  }
+  const std::vector<Scalar> tt(static_cast<std::size_t>(b), 0.5);
+  core::RhsWeights<Scalar> wt;
+  core::DenseView<Scalar>* dense[] = {&wt.phi1, &wt.phi2, &wt.fr1, &wt.fr2,
+                                      &wt.wr};
+  for (std::size_t i = 0; i < 5; ++i)
+    *dense[i] = {bench.layers[2 * i].value().data(),
+                 bench.layers[2 * i + 1].value().data()};
+  wt.hippo_a_t = bench.in.hippo_a_t.value().data();
+  wt.hippo_b_t = bench.in.hippo_b_t.value().data();
+  const core::DhsView<Scalar> view = core::ViewOf(bench.heads[0]);
+  core::RhsRow<Scalar> row;
+  row.heads = &view;
+  row.h2 = bench.h2.value().data();
+  const core::RhsLayout lay(bench.dims, b, RhsBench::kN);
+  std::vector<Scalar> saved(static_cast<std::size_t>(lay.saved_size));
+  std::vector<Scalar> scratch(static_cast<std::size_t>(lay.scratch_size));
+  Tensor k(Shape{b, sd});
+  for (auto _ : state) {
+    core::DiffOdeRhs(
+        bench.dims, wt, lay, b,
+        [&row](Index) -> const core::RhsRow<Scalar>& { return row; },
+        tt.data(), y.data(), saved.data(), scratch.data(), k.data());
+    benchmark::DoNotOptimize(k.data());
+  }
+}
+BENCHMARK(BM_DiffOdeRhsWave);
 
 }  // namespace
 }  // namespace diffode

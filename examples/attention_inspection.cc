@@ -70,8 +70,10 @@ int main() {
   }
 
   // Recover the latent code z_t from p (Eq. 34).
-  ag::Var h2 = ag::Constant(rng.NormalTensor(Shape{1, n}));
-  Tensor z_rec = core::RecoverZVar(ctx, ag::Constant(p_true), h2).value();
+  const Tensor h2 = rng.NormalTensor(Shape{1, n});
+  Tensor z_rec = Tensor::Uninit(Shape{1, d});
+  Tensor scratch = Tensor::Uninit(Shape{1, n});
+  core::RecoverZ(view, p_true.data(), h2.data(), scratch.data(), z_rec.data());
   std::printf("\nrecovered z_t (1 x %lld): %s\n", static_cast<long long>(d),
               z_rec.ToString().c_str());
   std::printf("\nevery strategy reconstructs S exactly; they differ in how "

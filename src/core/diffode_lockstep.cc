@@ -4,10 +4,11 @@
 // the model's layers, T = double by default and float after
 // Freeze(Precision::kF32).
 //
-// What runs in T: the encoder, the per-step DHS recoveries (p from S, z from
-// p, the Eq. 12 derivative — the shared RHS kernels of core/dhs.h over flat
-// chunked scratch), phi / f_r / w_r, the HiPPO tail and the readouts. What
-// stays f64 at both precisions: the DHS factorization
+// What runs in T: the encoder, the RHS — DiffOdeRhs of core/dhs.h, the
+// function the per-sequence tape node RhsVar runs at B = 1: the per-step
+// DHS recoveries (p from S, z from p, the Eq. 12 derivative) over flat
+// chunked scratch, phi / f_r / w_r and the HiPPO tail — and the readouts.
+// What stays f64 at both precisions: the DHS factorization
 // (DiffOde::BuildContexts, from the encoded latents widened once per
 // sequence), the step plans (BuildBatchPlans) and the carried state with its
 // stage combines (ode::LockstepIntegrate<T>). The inversion is the
@@ -15,14 +16,13 @@
 // rounding compounds; both cost per sequence or per stage, not per GEMM.
 //
 // Equivalence with the per-sequence path. Every row replays its exact
-// per-sequence (t, h) timeline, and the DHS recoveries and derivative are
-// the same kernels the per-sequence tape ops call. At T = double and B = 1
-// every GEMM has the per-sequence shape, so results are bitwise identical
-// to the per-sequence path; at B > 1 the shared MLPs run at GEMM shape
-// m = B and the bound is 1e-10 relative (tests/batched_equiv_test.cc). The
-// f32 tiers are in tests/precision_test.cc. Results are bitwise identical
-// at any thread count: the per-row passes shard on fixed chunk grids with
-// disjoint writes.
+// per-sequence (t, h) timeline through the same RHS function. At T = double
+// and B = 1 every GEMM has the per-sequence shape, so results are bitwise
+// identical to the per-sequence path; at B > 1 the shared MLPs run at GEMM
+// shape m = B and the bound is 1e-10 relative
+// (tests/batched_equiv_test.cc). The f32 tiers are in
+// tests/precision_test.cc. Results are bitwise identical at any thread
+// count: the per-row passes shard on fixed chunk grids with disjoint writes.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -44,10 +44,6 @@ namespace {
 // Must match the kSpan of diffode_model.cc: the per-sequence Encode maps
 // the observation window onto [0, kSpan] before integration.
 constexpr Scalar kSpan = 10.0;
-
-// Rows per task of the per-row recovery passes. Chunk boundaries depend
-// only on (rows, kChunk), so each chunk owns a fixed slice of the scratch.
-constexpr Index kChunk = 16;
 
 // An f64 tensor at the engine dtype (a plain copy at T = double).
 template <typename T>
@@ -330,14 +326,7 @@ class LockstepEngine {
       const std::vector<std::vector<Scalar>>& norm_queries) const {
     const Index b = static_cast<Index>(encs.size());
     const Index sd = m_.StateDim();
-    const Index d = c_.latent_dim;
-    const Index dc = c_.hippo_dim;
-    const Index dr = c_.info_dim;
-    const Index heads = c_.num_heads;
-    const Index dh = d / heads;
-    const bool attn = c_.use_attention;
-    const bool direct = c_.head == OutputHead::kDirect;
-    const bool anchored = attn && c_.consistency_weight > 0.0;
+    const bool anchored = c_.use_attention && c_.consistency_weight > 0.0;
 
     // Per-row plans replicating StatesAt's grid (core/batch_plans.h).
     std::vector<const std::vector<Scalar>*> anchors(
@@ -347,10 +336,6 @@ class LockstepEngine {
         anchors[static_cast<std::size_t>(r)] =
             &encs[static_cast<std::size_t>(r)].norm_times;
     const BatchPlans bp = BuildBatchPlans(norm_queries, anchors, c_.step);
-    std::vector<const EncodedT<T>*> row_enc;
-    row_enc.reserve(bp.orig_of_row.size());
-    for (Index orig : bp.orig_of_row)
-      row_enc.push_back(&encs[static_cast<std::size_t>(orig)]);
 
     // The carried state is f64 (see ode::LockstepIntegrate).
     const Index rows_total = static_cast<Index>(bp.plans.size());
@@ -362,109 +347,54 @@ class LockstepEngine {
       if (br >= 0) std::copy_n(y0.data(), sd, y.data() + br * sd);
     }
 
-    // Longest context across the batch: the stride of the flat
-    // per-(row, head) p buffer the two recovery passes share.
+    // The RHS is DiffOdeRhs (core/dhs.h) over the snapshot's layers. Each
+    // row reads its sequence's head views, h2 and z̄; the flat p buffer is
+    // strided by the longest context across the batch.
     Index max_n = 1;
     for (const EncodedT<T>& e : encs)
       if (!e.heads.empty())
         max_n = std::max(max_n, e.heads.front().zt_pinv.rows());
-    // Scratch reused across RK stages: the flat p buffer, one recovery
-    // scratch slice per chunk, and the stage inputs (reshaped only when the
-    // active-row count changes).
-    std::vector<T> p_buf;
-    std::vector<T> chunk_scratch;
-    TensorT<T> xphi, c_mat, r_mat, xfr;
+    std::vector<std::vector<DhsView<T>>> views(static_cast<std::size_t>(b));
+    std::vector<RhsRow<T>> enc_rows(static_cast<std::size_t>(b));
+    for (Index r = 0; r < b; ++r) {
+      const EncodedT<T>& e = encs[static_cast<std::size_t>(r)];
+      auto& vr = views[static_cast<std::size_t>(r)];
+      for (const DhsContextT<T>& head : e.heads) vr.push_back(head.View());
+      RhsRow<T>& row = enc_rows[static_cast<std::size_t>(r)];
+      row.heads = vr.data();
+      row.h2 = e.h2.data();
+      row.z_mean = e.z_mean.data();
+    }
+    std::vector<const RhsRow<T>*> plan_rows;
+    plan_rows.reserve(bp.orig_of_row.size());
+    for (Index orig : bp.orig_of_row)
+      plan_rows.push_back(&enc_rows[static_cast<std::size_t>(orig)]);
+    const RhsDims dims = m_.RhsShape();
+    const RhsWeights<T> weights = Weights();
+    // The saved and scratch regions are reused across RK stages and resized
+    // only when the active-row count changes.
+    RhsLayout lay;
+    std::vector<T> saved, scratch;
     Index cached_a = -1;
 
-    // Stage times arrive as f64 and round to T only where they enter the
-    // arithmetic (phi's time feature).
     const ode::BatchedRhsT<T> rhs = [&](const std::vector<Index>& rows,
                                         const std::vector<Scalar>& tt,
                                         const TensorT<T>& ya) -> TensorT<T> {
       const Index a = static_cast<Index>(rows.size());
       if (cached_a != a) {
         cached_a = a;
-        if (attn)
-          xphi = TensorT<T>::Uninit(Shape{a, d + 1});
-        else
-          xfr = TensorT<T>::Uninit(Shape{a, d + dc + dr});
-        if (!attn || !direct) {
-          c_mat = TensorT<T>::Uninit(Shape{a, dc});
-          r_mat = TensorT<T>::Uninit(Shape{a, dr});
-        }
+        lay = RhsLayout(dims, a, max_n);
+        saved.resize(static_cast<std::size_t>(lay.saved_size));
+        scratch.resize(static_cast<std::size_t>(lay.scratch_size));
       }
       TensorT<T> k_out = TensorT<T>::Uninit(Shape{a, sd});
-      // The HiPPO tail dc/dt = c Aᵀ + Bᵀ (w_r r), dr/dt = u_r (f_r's batched
-      // output), written at column s_width of k_out.
-      const auto hippo_tail = [&](Index s_width, const TensorT<T>& u_r) {
-        for (Index i = 0; i < a; ++i) {
-          std::copy_n(ya.data() + i * sd + s_width, dc, c_mat.data() + i * dc);
-          std::copy_n(ya.data() + i * sd + s_width + dc, dr,
-                      r_mat.data() + i * dr);
-        }
-        const TensorT<T> dcm = c_mat.MatMul(snap_.hippo_a_t);  // a x dc
-        const TensorT<T> wr = snap_.w_r.Forward(r_mat);        // a x 1
-        const T* bt = snap_.hippo_b_t.data();
-        for (Index i = 0; i < a; ++i) {
-          T* krow = k_out.data() + i * sd + s_width;
-          const T* dcrow = dcm.data() + i * dc;
-          const T wri = wr.data()[i];
-          for (Index j = 0; j < dc; ++j) krow[j] = dcrow[j] + bt[j] * wri;
-          std::copy_n(u_r.data() + i * dr, dr, krow + dc);
-        }
-      };
-      if (!attn) {
-        // HiPPO-RNN-like ablation: rows are [c | r], f_r sees [z_mean | c | r].
-        for (Index i = 0; i < a; ++i) {
-          const EncodedT<T>& enc =
-              *row_enc[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
-          std::copy_n(enc.z_mean.data(), d, xfr.data() + i * (d + dc + dr));
-          std::copy_n(ya.data() + i * sd, dc + dr,
-                      xfr.data() + i * (d + dc + dr) + d);
-        }
-        hippo_tail(0, snap_.f_r.Forward(xfr));
-        return k_out;
-      }
-      // Invert the attention per row and head into xphi = [z | t] and the
-      // flat p buffer, run phi once for the wave, then the derivatives.
-      p_buf.resize(static_cast<std::size_t>(a * heads * max_n));
-      const Index scratch_stride = 3 * max_n + 2 * dh;
-      chunk_scratch.resize(static_cast<std::size_t>(
-          ((a + kChunk - 1) / kChunk) * scratch_stride));
-      parallel::ParallelFor(0, a, kChunk, [&](Index i0, Index i1) {
-        T* scratch = chunk_scratch.data() + (i0 / kChunk) * scratch_stride;
-        for (Index i = i0; i < i1; ++i) {
-          const EncodedT<T>& enc =
-              *row_enc[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
-          const T* yrow = ya.data() + i * sd;
-          for (Index hh = 0; hh < heads; ++hh) {
-            const DhsView<T> v =
-                enc.heads[static_cast<std::size_t>(hh)].View();
-            T* p = p_buf.data() + (i * heads + hh) * max_n;
-            RecoverP(v, yrow + hh * dh, c_.pt_strategy, p);
-            RecoverZ(v, p, enc.h2.data(), scratch,
-                     xphi.data() + i * (d + 1) + hh * dh);
-          }
-          xphi.data()[i * (d + 1) + d] =
-              static_cast<T>(tt[static_cast<std::size_t>(i)]);
-        }
-      });
-      TensorT<T> w = snap_.phi.Forward(xphi);
-      kernels::MapTanh(w.numel(), w.data(), w.data());
-      parallel::ParallelFor(0, a, kChunk, [&](Index i0, Index i1) {
-        T* scratch = chunk_scratch.data() + (i0 / kChunk) * scratch_stride;
-        for (Index i = i0; i < i1; ++i) {
-          const EncodedT<T>& enc =
-              *row_enc[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
-          for (Index hh = 0; hh < heads; ++hh)
-            Derivative(enc.heads[static_cast<std::size_t>(hh)].View(),
-                       w.data() + i * d + hh * dh,
-                       p_buf.data() + (i * heads + hh) * max_n, scratch,
-                       k_out.data() + i * sd + hh * dh);
-        }
-      });
-      // f_r's input [s | c | r] is exactly the packed state row.
-      if (!direct) hippo_tail(d, snap_.f_r.Forward(ya));
+      DiffOdeRhs(
+          dims, weights, lay, a,
+          [&](Index i) -> const RhsRow<T>& {
+            return *plan_rows[static_cast<std::size_t>(
+                rows[static_cast<std::size_t>(i)])];
+          },
+          tt.data(), ya.data(), saved.data(), scratch.data(), k_out.data());
       return k_out;
     };
 
@@ -495,6 +425,25 @@ class LockstepEngine {
       }
     }
     return out;
+  }
+
+  // The snapshot's RHS layers as DiffOdeRhs reads them; φ and f_r are the
+  // two-layer tanh MLPs DiffOde builds.
+  RhsWeights<T> Weights() const {
+    const auto dense = [](const nn::FrozenLinear<T>& l) {
+      return DenseView<T>{l.w.data(), l.b.data()};
+    };
+    DIFFODE_CHECK_EQ(snap_.phi.layers.size(), 2u);
+    DIFFODE_CHECK_EQ(snap_.f_r.layers.size(), 2u);
+    RhsWeights<T> wt;
+    wt.phi1 = dense(snap_.phi.layers[0]);
+    wt.phi2 = dense(snap_.phi.layers[1]);
+    wt.fr1 = dense(snap_.f_r.layers[0]);
+    wt.fr2 = dense(snap_.f_r.layers[1]);
+    wt.wr = dense(snap_.w_r);
+    wt.hippo_a_t = snap_.hippo_a_t.data();
+    wt.hippo_b_t = snap_.hippo_b_t.data();
+    return wt;
   }
 
   // The readout input of one state ([S | r], S, or [z̄ | r], as

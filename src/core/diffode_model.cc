@@ -116,7 +116,7 @@ void DiffOde::BuildContexts(Encoded* enc_ptr) const {
     if (config_.pt_strategy == sparsity::PtStrategy::kAdaH) {
       enc.h_ada = ag::Transpose(h_ada_head_->Forward(enc.z));
       // The adaH correction h A_p depends only on the sequence, not the
-      // solver state: build it once here, reuse in every RecoverPVar.
+      // solver state: build it once here, reuse in every recovery.
       for (auto& head : enc.heads) CacheAdaHCorrection(&head, enc.h_ada);
     }
   }
@@ -179,61 +179,41 @@ ag::Var DiffOde::InitialState(const Encoded& enc) const {
   return ag::ConcatCols({s0, c0, r0});
 }
 
+RhsDims DiffOde::RhsShape() const {
+  RhsDims m;
+  m.d = config_.latent_dim;
+  m.dc = config_.hippo_dim;
+  m.dr = config_.info_dim;
+  m.hidden = config_.mlp_hidden;
+  m.heads = config_.num_heads;
+  m.attn = config_.use_attention;
+  m.direct = config_.head == OutputHead::kDirect;
+  m.strategy = config_.pt_strategy;
+  return m;
+}
+
 ode::DiffOdeFunc DiffOde::Dynamics(const Encoded& enc) const {
-  const Index d = config_.latent_dim;
-  const Index dc = config_.hippo_dim;
-  const Index dr = config_.info_dim;
-  ag::Var a_t = ag::Constant(hippo_a_t_);
-  ag::Var b_t = ag::Constant(hippo_b_t_);
-  if (!config_.use_attention) {
-    // HiPPO-RNN-like ablation: dc = A c + B (W_r r), dr = f_r([z̄|c|r]).
-    return [this, enc, a_t, b_t, dc, dr](Scalar, const ag::Var& y) {
-      ag::Var c = ag::SliceCols(y, 0, dc);
-      ag::Var r = ag::SliceCols(y, dc, dr);
-      ag::Var u_r = f_r_->Forward(ag::ConcatCols({enc.z_mean, c, r}));
-      ag::Var dc_dt = ag::Add(ag::MatMul(c, a_t),
-                              ag::MulByScalarVar(b_t, w_r_->Forward(r)));
-      return ag::ConcatCols({dc_dt, u_r});
-    };
+  RhsInputs in;
+  in.dims = RhsShape();
+  const auto add_layer = [&in](const nn::Linear& l) {
+    in.layers.push_back(&l.weight());
+    in.layers.push_back(&l.bias());
+  };
+  if (in.dims.attn) {
+    for (const auto& l : phi_->layers()) add_layer(*l);
+    in.heads = &enc.heads;
+    in.h2 = &enc.h2;
+  } else {
+    in.z_mean = &enc.z_mean;
   }
-  const Index heads = config_.num_heads;
-  const Index dh = d / heads;
-  return [this, enc, a_t, b_t, d, dc, dr, heads, dh](Scalar t,
-                                                     const ag::Var& y) {
-    ag::Var s = heads == 1 && config_.head == OutputHead::kDirect
-                    ? y
-                    : ag::SliceCols(y, 0, d);
-    // Invert the attention per head: p from S (Eq. 32), z from p (Eq. 34).
-    std::vector<ag::Var> p_heads(static_cast<std::size_t>(heads));
-    std::vector<ag::Var> z_heads(static_cast<std::size_t>(heads));
-    for (Index hidx = 0; hidx < heads; ++hidx) {
-      const DhsContext& ctx = enc.heads[static_cast<std::size_t>(hidx)];
-      ag::Var s_h = heads == 1 ? s : ag::SliceCols(s, hidx * dh, dh);
-      ag::Var p = RecoverPVar(ctx, s_h, config_.pt_strategy);
-      p_heads[static_cast<std::size_t>(hidx)] = p;
-      z_heads[static_cast<std::size_t>(hidx)] = RecoverZVar(ctx, p, enc.h2);
-    }
-    ag::Var z = heads == 1 ? z_heads[0] : ag::ConcatCols(z_heads);
-    // w = φ(z, t): the learned dz/dt. The tanh bound keeps long rollouts
-    // (extrapolation far past the observation window) from blowing up.
-    ag::Var t_var = ag::Constant(Tensor::Full(Shape{1, 1}, t));
-    ag::Var w = ag::Tanh(phi_->Forward(ag::ConcatCols({z, t_var})));
-    std::vector<ag::Var> ds_heads(static_cast<std::size_t>(heads));
-    for (Index hidx = 0; hidx < heads; ++hidx) {
-      ag::Var w_h = heads == 1 ? w : ag::SliceCols(w, hidx * dh, dh);
-      ds_heads[static_cast<std::size_t>(hidx)] =
-          DhsDerivative(enc.heads[static_cast<std::size_t>(hidx)], w_h,
-                        p_heads[static_cast<std::size_t>(hidx)]);
-    }
-    ag::Var ds = heads == 1 ? ds_heads[0] : ag::ConcatCols(ds_heads);
-    if (config_.head == OutputHead::kDirect) return ds;
-    // Coupled HiPPO system (Eq. 36).
-    ag::Var c = ag::SliceCols(y, d, dc);
-    ag::Var r = ag::SliceCols(y, d + dc, dr);
-    ag::Var u_r = f_r_->Forward(ag::ConcatCols({s, c, r}));
-    ag::Var dc_dt = ag::Add(ag::MatMul(c, a_t),
-                            ag::MulByScalarVar(b_t, w_r_->Forward(r)));
-    return ag::ConcatCols({ds, dc_dt, u_r});
+  if (in.dims.UsesHippo()) {
+    for (const auto& l : f_r_->layers()) add_layer(*l);
+    add_layer(*w_r_);
+    in.hippo_a_t = ag::Constant(hippo_a_t_);
+    in.hippo_b_t = ag::Constant(hippo_b_t_);
+  }
+  return [in = std::move(in)](Scalar t, const ag::Var& y) {
+    return RhsVar(in, t, y);
   };
 }
 

@@ -97,7 +97,10 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   void BuildContexts(Encoded* enc) const;
   // Augmented initial state [S | c | r] (or [c | r] without attention).
   ag::Var InitialState(const Encoded& enc) const;
-  // Augmented dynamics closure over the encoded context.
+  // The RHS's shapes and switches (core/dhs.h), shared with the engine.
+  RhsDims RhsShape() const;
+  // Augmented dynamics over the encoded context: one RhsVar node per
+  // evaluation. Reads `enc`, which must outlive the returned function.
   ode::DiffOdeFunc Dynamics(const Encoded& enc) const;
   // Readout input ([S | r], S, or [z̄ | r] depending on config).
   ag::Var ReadoutInput(const Encoded& enc, const ag::Var& state) const;

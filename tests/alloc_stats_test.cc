@@ -157,6 +157,8 @@ TEST(AllocStatsTest, SteadyStateTrainingHasZeroPoolMisses) {
   const AllocStats::Snapshot d =
       AllocStats::Delta(before, AllocStats::Read());
   EXPECT_EQ(d.pool_misses, 0u);
+  EXPECT_EQ(d.heap_nodes, 0u);                // every tape node, and every
+                                              // RHS node's record, in the arena
   EXPECT_GT(d.pool_hits + d.depot_hits, 0u);  // the pool actually served
   EXPECT_GT(d.arena_nodes, 0u);               // tapes came from the arena
   parallel::ThreadPool::SetNumThreads(prev_threads);

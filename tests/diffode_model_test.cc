@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "autograd/ops.h"
+#include "gradcheck.h"
 #include "nn/optimizer.h"
 #include "tensor/random.h"
 
@@ -157,6 +160,62 @@ TEST(DiffOdeModelTest, RegressionLossDecreasesWithTraining) {
     opt.StepAndZero();
   }
   EXPECT_LT(last_loss, first_loss * 0.5);
+}
+
+// Central-difference gradcheck of a whole DIFFODE forward: the masked MSE
+// of interpolation queries plus the aux loss (the consistency anchors), with
+// respect to every parameter tensor the loss reaches — encoder, φ, h2-head,
+// f_r, w_r, r_init and the regression head (and the adaH head under adaH).
+// One short context per variant of batched_equiv_test, with n > d so
+// max-Hoyer corrects.
+TEST(DiffOdeModelTest, WholeModelGradientMatchesFiniteDifferences) {
+  DiffOdeConfig base;
+  base.input_dim = 1;
+  base.latent_dim = 4;
+  base.hippo_dim = 3;
+  base.info_dim = 3;
+  base.mlp_hidden = 5;
+  base.step = 2.0;
+  std::vector<std::pair<std::string, DiffOdeConfig>> variants;
+  variants.emplace_back("default", base);
+  variants.emplace_back("minNorm", base);
+  variants.back().second.pt_strategy = sparsity::PtStrategy::kMinNorm;
+  variants.emplace_back("adaH", base);
+  variants.back().second.pt_strategy = sparsity::PtStrategy::kAdaH;
+  variants.emplace_back("direct head", base);
+  variants.back().second.head = OutputHead::kDirect;
+  variants.emplace_back("no attention", base);
+  variants.back().second.use_attention = false;
+  variants.emplace_back("MLP encoder", base);
+  variants.back().second.encoder = EncoderType::kMlp;
+  variants.emplace_back("2 heads", base);
+  variants.back().second.num_heads = 2;
+
+  data::IrregularSeries s = MakeSeries(6, 1, 12);
+  const std::vector<Scalar> queries = {s.times[1], s.times[4] + 0.3,
+                                       s.times.back() + 0.5};
+  const Tensor target = Tensor::Full(Shape{3, 1}, 0.25);
+  Tensor mask = Tensor::Ones(Shape{3, 1});
+  mask.at(1, 0) = 0.0;
+  for (const auto& [name, config] : variants) {
+    DiffOde model(config);
+    auto loss_fn = [&model, &s, &queries, &target, &mask] {
+      ag::Var loss = ag::MaskedMseLoss(
+          ag::ConcatRows(model.PredictAt(s, queries)), target, mask);
+      ag::Var aux = model.TakeAuxiliaryLoss();
+      return aux.defined() ? ag::Add(loss, aux) : loss;
+    };
+    // CollectParams order: encoder (4), φ (4), h2-head (2), adaH head (2),
+    // f_r (4), w_r (2), r_init (2), classification head (4, unused here),
+    // regression head (4).
+    std::vector<ag::Var> params = model.Params();
+    ASSERT_EQ(params.size(), 28u) << name;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      if (i >= 20 && i < 24) continue;
+      EXPECT_LT(testing::MaxGradError(params[i], loss_fn, 1e-6), 1e-6)
+          << name << " param " << i;
+    }
+  }
 }
 
 TEST(DiffOdeModelTest, DeterministicAcrossIdenticalSeeds) {

@@ -79,9 +79,9 @@ TEST_P(AttentionGridTest, RecoveryReconstructsSAndSumsToOne) {
   Tensor p_true = logits.Map([m](Scalar x) { return std::exp(x - m); });
   p_true *= 1.0 / p_true.Sum();
   Tensor s = p_true.MatMul(z);
-  Tensor p = core::RecoverPVar(ctx, ag::Constant(s),
-                               sparsity::PtStrategy::kMaxHoyer)
-                 .value();
+  Tensor p = Tensor::Uninit(Shape{1, n});
+  core::RecoverP(core::ViewOf(ctx), s.data(), sparsity::PtStrategy::kMaxHoyer,
+                 p.data());
   EXPECT_LT((p.MatMul(z) - s).MaxAbs(), 1e-6) << n << "x" << d;
   EXPECT_NEAR(p.Sum(), 1.0, 1e-6) << n << "x" << d;
 }
@@ -103,11 +103,13 @@ TEST_P(AttentionGridTest, DhsDerivativeMatchesFiniteDifference) {
   const Scalar m = logits.Max();
   Tensor p = logits.Map([m](Scalar x) { return std::exp(x - m); });
   p *= 1.0 / p.Sum();
-  ag::Var ds =
-      core::DhsDerivative(ctx, ag::Constant(vel), ag::Constant(p));
+  Tensor ds = Tensor::Uninit(Shape{1, d});
+  Tensor scratch = Tensor::Uninit(Shape{1, 3 * n + 2 * d});
+  core::Derivative(core::ViewOf(ctx), vel.data(), p.data(), scratch.data(),
+                   ds.data());
   const Scalar eps = 1e-6;
   Tensor fd = (s_of_t(eps) - s_of_t(-eps)) * (1.0 / (2.0 * eps));
-  EXPECT_LT((ds.value() - fd).MaxAbs(), 1e-5) << n << "x" << d;
+  EXPECT_LT((ds - fd).MaxAbs(), 1e-5) << n << "x" << d;
 }
 
 INSTANTIATE_TEST_SUITE_P(

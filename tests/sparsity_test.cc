@@ -69,7 +69,7 @@ TEST(HoyerTest, EffectiveSupport) {
 
 // ---------------------------------------------------------------------------
 // Attention inversion: the paper's theorems on the model's own closed forms
-// (core::BuildDhsContext + core::RecoverPVar), at ridge 0.
+// (core::BuildDhsContext + the core::RecoverP kernel), at ridge 0.
 // ---------------------------------------------------------------------------
 
 struct Fixture {
@@ -95,8 +95,9 @@ struct Fixture {
   }
 
   Tensor Recover(PtStrategy strategy) const {
-    ag::NoGradScope no_grad;
-    return core::RecoverPVar(ctx, ag::Constant(s), strategy).value();
+    Tensor p = Tensor::Uninit(Shape{1, ctx.n});
+    core::RecoverP(core::ViewOf(ctx), s.data(), strategy, p.data());
+    return p;
   }
   // The adaH recovery b + h A_p for the free vector h.
   Tensor RecoverAdaH(const Tensor& h) {
