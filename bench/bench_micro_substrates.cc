@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks for the numeric substrates: tensor
-// algebra, pseudoinverses, ODE solver steps, the DHS derivative, the
-// attention inversion and the DIFFODE right-hand side. These quantify the per-step costs behind the
+// algebra, pseudoinverses, the DHS derivative, the attention inversion and
+// the DIFFODE right-hand side. These quantify the per-step costs behind the
 // complexity rows of Table V.
 
 #include <benchmark/benchmark.h>
@@ -15,7 +15,6 @@
 #include "core/dhs.h"
 #include "core/parallel.h"
 #include "linalg/pinv.h"
-#include "ode/solver.h"
 #include "sparsity/pt_solver.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
@@ -118,37 +117,6 @@ void BM_PInverseSvd(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(linalg::PInverse(a));
 }
 BENCHMARK(BM_PInverseSvd)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_Rk4StepLinearSystem(benchmark::State& state) {
-  const Index n = state.range(0);
-  Rng rng(4);
-  Tensor a = rng.NormalTensor(Shape{n, n}, 0.0, 0.1);
-  Tensor y0 = rng.NormalTensor(Shape{1, n});
-  ode::OdeFunc f = [&a](Scalar, const Tensor& y) {
-    return y.MatMul(a.Transposed());
-  };
-  ode::SolveOptions options;
-  options.method = ode::Method::kRk4;
-  options.step = 0.1;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ode::Integrate(f, y0, 0.0, 1.0, options));
-}
-BENCHMARK(BM_Rk4StepLinearSystem)->Arg(16)->Arg(64);
-
-void BM_Dopri5LinearSystem(benchmark::State& state) {
-  const Index n = state.range(0);
-  Rng rng(5);
-  Tensor a = rng.NormalTensor(Shape{n, n}, 0.0, 0.1);
-  Tensor y0 = rng.NormalTensor(Shape{1, n});
-  ode::OdeFunc f = [&a](Scalar, const Tensor& y) {
-    return y.MatMul(a.Transposed());
-  };
-  ode::SolveOptions options;
-  options.method = ode::Method::kDopri5;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ode::Integrate(f, y0, 0.0, 1.0, options));
-}
-BENCHMARK(BM_Dopri5LinearSystem)->Arg(16)->Arg(64);
 
 // The model's default Gram ridge.
 const Scalar kRidge = core::DiffOdeConfig{}.ridge;

@@ -76,19 +76,6 @@ Var Neg(const Var& a) {
                   [](Node& n) { Accumulate(n.parents[0], -n.grad); });
 }
 
-Var DivByScalarVar(const Var& a, const Var& s) {
-  DIFFODE_CHECK_EQ(s.value().numel(), 1);
-  const Scalar sv = s.value().item();
-  return MakeNode(a.value() * (1.0 / sv), {&a, &s}, [](Node& n) {
-    const Scalar sv = n.parents[1]->value.item();
-    Accumulate(n.parents[0], n.grad * (1.0 / sv));
-    // d/ds (a/s) = -a/s^2 = -value/s
-    Tensor gs(n.parents[1]->value.shape());
-    gs[0] = -n.grad.Dot(n.value) / sv;
-    Accumulate(n.parents[1], gs);
-  });
-}
-
 Var MulByScalarVar(const Var& a, const Var& s) {
   DIFFODE_CHECK_EQ(s.value().numel(), 1);
   const Scalar sv = s.value().item();
@@ -245,12 +232,6 @@ Var Exp(const Var& a) {
                         [](Scalar g, Scalar y) { return g * y; });
 }
 
-Var Log(const Var& a) {
-  return UnaryFromInput(
-      a, [](Scalar x) { return std::log(x); },
-      [](Scalar g, Scalar x) { return g / x; });
-}
-
 Var Sqrt(const Var& a) {
   return UnaryFromValue(
       a, [](Scalar x) { return std::sqrt(x); },
@@ -268,12 +249,6 @@ Var Sin(const Var& a) {
   return UnaryFromInput(
       a, [](Scalar x) { return std::sin(x); },
       [](Scalar g, Scalar x) { return g * std::cos(x); });
-}
-
-Var Cos(const Var& a) {
-  return UnaryFromInput(
-      a, [](Scalar x) { return std::cos(x); },
-      [](Scalar g, Scalar x) { return -g * std::sin(x); });
 }
 
 namespace {

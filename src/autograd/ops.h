@@ -24,8 +24,6 @@ Var AddScalar(const Var& a, Scalar s);
 Var MulScalar(const Var& a, Scalar s);
 Var Neg(const Var& a);
 
-// a / s where s is a 1x1 Var.
-Var DivByScalarVar(const Var& a, const Var& s);
 // a * s where s is a 1x1 Var.
 Var MulByScalarVar(const Var& a, const Var& s);
 
@@ -47,11 +45,9 @@ Var Tanh(const Var& a);
 Var Sigmoid(const Var& a);
 Var Relu(const Var& a);
 Var Exp(const Var& a);
-Var Log(const Var& a);
 Var Sqrt(const Var& a);
 Var Square(const Var& a);
 Var Sin(const Var& a);
-Var Cos(const Var& a);
 
 // Fused hot-path ops. Each computes the same quantity as the op chain it
 // replaces but builds ONE tape node and runs one elementwise pass, so the

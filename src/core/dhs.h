@@ -24,7 +24,7 @@ namespace diffode::core {
 // behind (Zᵀ)†, the projector sums, the adaH correction — is a tape node
 // built exactly once here and shared by every solver step and
 // consistency-loss evaluation of the sequence. Gradients from all uses
-// accumulate into the shared nodes, which is exactly the correct adjoint.
+// accumulate into the shared nodes, which is exactly the correct gradient.
 struct DhsContext {
   ag::Var z;          // n x d_h latent codes (key/value matrix)
   ag::Var zt;         // Zᵀ, d_h x n (shared by gram, projections)
@@ -134,11 +134,11 @@ void Derivative(const DhsView<T>& v, const T* w, const T* p, T* scratch,
   for (Index j = 0; j < d; ++j) ds[j] = scale * (c2[j] - up * c2[d + j]);
 }
 
-// The kernels' vector-Jacobian products (the per-step form of the adjoint
-// identity dL/dθ = -∫ aᵀ ∂f/∂θ dt), as plain f64 functions. Each takes the
-// cotangent g of its kernel's output and ADDS the cotangents of the inputs
-// into the given buffers, so contributions from several kernels sum in
-// place. The factorization's cotangents go into a DhsViewGrad.
+// The kernels' vector-Jacobian products, as plain f64 functions: the
+// per-step backward of the unrolled solver. Each takes the cotangent g of
+// its kernel's output and ADDS the cotangents of the inputs into the given
+// buffers, so contributions from several kernels sum in place. The
+// factorization's cotangents go into a DhsViewGrad.
 struct DhsViewGrad {
   Scalar* z = nullptr;          // n x d
   Scalar* zt_pinv = nullptr;    // n x d

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/lu.h"
-
 namespace diffode::hippo {
 
 Tensor MakeLegsA(Index n) {
@@ -26,25 +24,6 @@ Tensor MakeLegsB(Index n) {
   for (Index i = 0; i < n; ++i)
     b.at(i, 0) = std::sqrt(static_cast<Scalar>(2 * i + 1));
   return b;
-}
-
-Discretized Bilinear(const Tensor& a, const Tensor& b, Scalar dt) {
-  const Index n = a.rows();
-  Tensor left = Tensor::Eye(n);   // I - dt/2 A
-  Tensor right = Tensor::Eye(n);  // I + dt/2 A
-  left -= a * (dt / 2.0);
-  right += a * (dt / 2.0);
-  Discretized d;
-  d.a_bar = linalg::Solve(left, right);
-  d.b_bar = linalg::Solve(left, b * dt);
-  return d;
-}
-
-Discretized Euler(const Tensor& a, const Tensor& b, Scalar dt) {
-  Discretized d;
-  d.a_bar = Tensor::Eye(a.rows()) + a * dt;
-  d.b_bar = b * dt;
-  return d;
 }
 
 LegsProjector::LegsProjector(Index order)

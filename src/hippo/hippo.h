@@ -20,20 +20,6 @@ Tensor MakeLegsA(Index n);
 // n x 1 LegS input matrix: B[i] = sqrt(2i+1).
 Tensor MakeLegsB(Index n);
 
-// Zero-order-hold-free discretizations of dc/dt = A c + B u:
-// c_{k+1} = a_bar c_k + b_bar u_k for step dt.
-struct Discretized {
-  Tensor a_bar;  // n x n
-  Tensor b_bar;  // n x 1
-};
-
-// Bilinear (Tustin) transform: a_bar = (I - dt/2 A)^{-1} (I + dt/2 A),
-// b_bar = (I - dt/2 A)^{-1} dt B.
-Discretized Bilinear(const Tensor& a, const Tensor& b, Scalar dt);
-
-// Forward-Euler discretization (used where the paper's baselines do).
-Discretized Euler(const Tensor& a, const Tensor& b, Scalar dt);
-
 // Online LegS projection of a scalar stream: maintains coefficients c over
 // successive samples with the time-scaled LegS update
 // c_k = (I - A/k) ^{-1}-free Euler form c_{k-1} + (1/k)(A c_{k-1} + B u_k).

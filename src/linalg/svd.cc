@@ -80,14 +80,4 @@ SvdResult Svd(const Tensor& a) {
   return result;
 }
 
-Index Rank(const Tensor& a, Scalar tol) {
-  const bool wide = a.rows() < a.cols();
-  SvdResult svd = Svd(wide ? a.Transposed() : a);
-  const Scalar cutoff = tol * std::max(svd.sigma.Max(), Scalar{0});
-  Index rank = 0;
-  for (Index i = 0; i < svd.sigma.numel(); ++i)
-    if (svd.sigma[i] > cutoff) ++rank;
-  return rank;
-}
-
 }  // namespace diffode::linalg

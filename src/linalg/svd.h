@@ -16,9 +16,6 @@ struct SvdResult {
 // extremely robust — used for pseudoinverses and validation, not hot paths).
 SvdResult Svd(const Tensor& a);
 
-// Numerical rank with relative tolerance tol * sigma_max.
-Index Rank(const Tensor& a, Scalar tol = 1e-10);
-
 }  // namespace diffode::linalg
 
 #endif  // DIFFODE_LINALG_SVD_H_

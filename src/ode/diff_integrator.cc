@@ -1,7 +1,5 @@
 #include "ode/diff_integrator.h"
 
-#include <cmath>
-
 #include "autograd/ops.h"
 
 namespace diffode::ode {
@@ -35,14 +33,8 @@ ag::Var Rk4Step(const DiffOdeFunc& f, Scalar t, const ag::Var& y, Scalar h) {
 
 ag::Var IntegrateVar(const DiffOdeFunc& f, ag::Var y0, Scalar t0, Scalar t1,
                      const DiffSolveOptions& options) {
-  if (t0 == t1) return y0;
-  const Scalar direction = t1 >= t0 ? 1.0 : -1.0;
-  const Scalar h_mag = std::fabs(options.step);
-  DIFFODE_CHECK_GT(h_mag, 0.0);
-  Scalar t = t0;
   ag::Var y = std::move(y0);
-  while (direction * (t1 - t) > 1e-14) {
-    const Scalar h = direction * std::min(h_mag, std::fabs(t1 - t));
+  ForEachStep(t0, t1, options.step, [&](Scalar t, Scalar h) {
     switch (options.method) {
       case DiffMethod::kEuler:
         y = EulerStep(f, t, y, h);
@@ -54,8 +46,7 @@ ag::Var IntegrateVar(const DiffOdeFunc& f, ag::Var y0, Scalar t0, Scalar t1,
         y = Rk4Step(f, t, y, h);
         break;
     }
-    t += h;
-  }
+  });
   return y;
 }
 

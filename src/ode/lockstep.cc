@@ -1,7 +1,5 @@
 #include "ode/lockstep.h"
 
-#include <algorithm>
-#include <cmath>
 #include <type_traits>
 
 #include "tensor/kernels.h"
@@ -9,16 +7,9 @@
 namespace diffode::ode {
 
 void AppendSegment(RowPlan* plan, Scalar t0, Scalar t1, Scalar step) {
-  if (t0 == t1) return;
-  const Scalar direction = t1 >= t0 ? 1.0 : -1.0;
-  const Scalar h_mag = std::fabs(step);
-  DIFFODE_CHECK_GT(h_mag, 0.0);
-  Scalar t = t0;
-  while (direction * (t1 - t) > 1e-14) {
-    const Scalar h = direction * std::min(h_mag, std::fabs(t1 - t));
+  ForEachStep(t0, t1, step, [plan](Scalar t, Scalar h) {
     plan->steps.push_back(RowStep{t, h});
-    t += h;
-  }
+  });
 }
 
 void AppendCheckpoint(RowPlan* plan, Index tag) {
@@ -49,7 +40,9 @@ void LockstepIntegrate(const std::vector<RowPlan>& plans, DiffMethod method,
     if constexpr (std::is_same_v<T, Scalar>) {
       return rhs(active, t, state);
     } else {
-      if (narrow.numel() != state.numel())
+      // Compare shapes, not sizes: an unallocated buffer has the rank-0
+      // shape, whose numel() is 1 like a 1 x 1 state's.
+      if (narrow.shape() != state.shape())
         narrow = TensorT<T>::Uninit(state.shape());
       const Scalar* s = state.data();
       T* dst = narrow.data();

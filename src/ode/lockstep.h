@@ -13,7 +13,7 @@
 //
 // Equivalence contract. Each row follows its OWN precomputed step timeline —
 // the exact (t, h) sequence IntegrateVar would produce for that sequence
-// (AppendSegment replays the integrator's stop rule and last-step clamping).
+// (AppendSegment and IntegrateVar walk one step grid, ode::ForEachStep).
 // The engine batches only across rows; it never inserts another row's time
 // as a stop point. Per-row stage updates use the same expressions as the
 // per-sequence unroll, and row packing/unpacking is a pure copy, so a row's
@@ -41,9 +41,9 @@ struct RowPlan {
   std::vector<RowCheckpoint> checkpoints;  // non-decreasing after_steps
 };
 
-// Appends the steps IntegrateVar(f, y, t0, t1, {method, step}) would take:
-// same t0 == t1 early-out, same 1e-14 stop rule, same last-step clamp, same
-// running-t accumulation. Supports both directions (t1 < t0 steps backward).
+// Appends the steps IntegrateVar(f, y, t0, t1, {method, step}) takes: both
+// walk ForEachStep's grid, so the (t, h) sequences are the same values.
+// Supports both directions (t1 < t0 steps backward).
 void AppendSegment(RowPlan* plan, Scalar t0, Scalar t1, Scalar step);
 
 // Appends a checkpoint at the row's current end of timeline.

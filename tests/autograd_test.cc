@@ -46,12 +46,6 @@ TEST(AutogradTest, ScalarVarOps) {
   Var a = ag::Param(rng.NormalTensor(Shape{2, 3}));
   Var s = ag::Param(Tensor::Full(Shape{1, 1}, 1.7));
   EXPECT_LT(
-      MaxGradError(a, [&] { return ag::Sum(ag::DivByScalarVar(a, s)); }),
-      kTol);
-  EXPECT_LT(
-      MaxGradError(s, [&] { return ag::Sum(ag::DivByScalarVar(a, s)); }),
-      kTol);
-  EXPECT_LT(
       MaxGradError(a, [&] { return ag::Sum(ag::MulByScalarVar(a, s)); }),
       kTol);
   EXPECT_LT(
@@ -135,10 +129,9 @@ TEST(AutogradTest, ReluGradientAwayFromKink) {
   EXPECT_LT(MaxGradError(a, [&] { return ag::Sum(ag::Relu(a)); }), kTol);
 }
 
-TEST(AutogradTest, LogSqrtGradients) {
+TEST(AutogradTest, SqrtGradient) {
   Rng rng(11);
   Var a = ag::Param(rng.UniformTensor(Shape{2, 3}, 0.5, 3.0));
-  EXPECT_LT(MaxGradError(a, [&] { return ag::Sum(ag::Log(a)); }), kTol);
   EXPECT_LT(MaxGradError(a, [&] { return ag::Sum(ag::Sqrt(a)); }), kTol);
 }
 

@@ -4,8 +4,8 @@
 
 #include <cmath>
 
-#include "linalg/svd.h"
-#include "ode/solver.h"
+#include "autograd/ops.h"
+#include "ode/diff_integrator.h"
 
 namespace diffode::hippo {
 namespace {
@@ -30,52 +30,18 @@ TEST(HippoTest, LegsIsStable) {
   // All eigenvalues of the LegS A have negative real part; the diagonal of a
   // triangular-structure similarity gives them directly for this form.
   // Empirically: integrating dc/dt = A c decays.
-  Tensor a = MakeLegsA(8);
-  ode::SolveOptions options;
-  options.method = ode::Method::kRk4;
+  ag::NoGradScope no_grad;
+  ag::Var a = ag::Constant(MakeLegsA(8));
+  ode::DiffSolveOptions options;
+  options.method = ode::DiffMethod::kRk4;
   options.step = 0.01;
   Tensor c0 = Tensor::Ones(Shape{8, 1});
-  ode::OdeFunc f = [&a](Scalar, const Tensor& c) { return a.MatMul(c); };
-  Tensor c1 = ode::Integrate(f, c0, 0.0, 5.0, options);
+  ode::DiffOdeFunc f = [&a](Scalar, const ag::Var& c) {
+    return ag::MatMul(a, c);
+  };
+  Tensor c1 =
+      ode::IntegrateVar(f, ag::Constant(c0), 0.0, 5.0, options).value();
   EXPECT_LT(c1.Norm(), c0.Norm() * 0.1);
-}
-
-TEST(HippoTest, BilinearMatchesExponentialForSmallStep) {
-  Tensor a = MakeLegsA(4);
-  Tensor b = MakeLegsB(4);
-  const Scalar dt = 1e-3;
-  Discretized d = Bilinear(a, b, dt);
-  // a_bar ~ I + dt A for small dt.
-  Tensor approx = Tensor::Eye(4) + a * dt;
-  EXPECT_LT((d.a_bar - approx).MaxAbs(), 1e-4);
-  EXPECT_LT((d.b_bar - b * dt).MaxAbs(), 1e-4);
-}
-
-TEST(HippoTest, BilinearStableForLargeStep) {
-  // Bilinear discretization of a stable system keeps the spectral radius
-  // below 1 even for large steps (unlike Euler).
-  Tensor a = MakeLegsA(6);
-  Tensor b = MakeLegsB(6);
-  Discretized d = Bilinear(a, b, 1.0);
-  // Power iteration estimate of the spectral radius.
-  Tensor v = Tensor::Ones(Shape{6, 1});
-  Scalar prev = v.Norm();
-  for (int i = 0; i < 50; ++i) {
-    v = d.a_bar.MatMul(v);
-    const Scalar cur = v.Norm();
-    if (i > 30) {
-      EXPECT_LT(cur / prev, 1.0 + 1e-9);
-    }
-    prev = cur;
-  }
-}
-
-TEST(HippoTest, EulerDiscretization) {
-  Tensor a = MakeLegsA(3);
-  Tensor b = MakeLegsB(3);
-  Discretized d = Euler(a, b, 0.1);
-  EXPECT_LT((d.a_bar - (Tensor::Eye(3) + a * 0.1)).MaxAbs(), 1e-15);
-  EXPECT_LT((d.b_bar - b * 0.1).MaxAbs(), 1e-15);
 }
 
 TEST(HippoTest, ProjectorReconstructsConstantSignal) {

@@ -70,17 +70,6 @@ TEST(SvdTest, KnownSingularValues) {
   EXPECT_NEAR(svd.sigma[1], 2.0, 1e-12);
 }
 
-TEST(SvdTest, RankDetection) {
-  Rng rng(8);
-  // Rank-2 matrix: outer product sum.
-  Tensor u = rng.NormalTensor(Shape{6, 2});
-  Tensor v = rng.NormalTensor(Shape{2, 5});
-  Tensor a = u.MatMul(v);
-  EXPECT_EQ(Rank(a), 2);
-  EXPECT_EQ(Rank(Tensor::Eye(4)), 4);
-  EXPECT_EQ(Rank(Tensor::Zeros(Shape{3, 3})), 0);
-}
-
 // The four Moore-Penrose conditions from the paper's Definition 1.
 void CheckMoorePenrose(const Tensor& a, const Tensor& g, Scalar tol) {
   EXPECT_LT((a.MatMul(g).MatMul(a) - a).MaxAbs(), tol);            // (i)

@@ -8,55 +8,12 @@
 #include "core/config.h"
 #include "core/dhs.h"
 #include "linalg/pinv.h"
-#include "ode/solver.h"
 #include "sparsity/hoyer.h"
 #include "sparsity/pt_solver.h"
 #include "tensor/random.h"
 
 namespace diffode {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ODE solver convergence orders.
-// ---------------------------------------------------------------------------
-
-struct OrderCase {
-  ode::Method method;
-  double expected_order;
-  const char* name;
-};
-
-class SolverOrderTest : public ::testing::TestWithParam<OrderCase> {};
-
-TEST_P(SolverOrderTest, EmpiricalOrderMatches) {
-  const OrderCase& param = GetParam();
-  // Non-autonomous scalar problem with known solution:
-  // y' = y * cos(t), y(0)=1 -> y(t) = exp(sin(t)).
-  ode::OdeFunc f = [](Scalar t, const Tensor& y) { return y * std::cos(t); };
-  auto solve = [&](Scalar h) {
-    ode::SolveOptions options;
-    options.method = param.method;
-    options.step = h;
-    options.corrector_iters = 3;
-    return ode::Integrate(f, Tensor::Ones(Shape{1, 1}), 0.0, 2.0, options)
-        .item();
-  };
-  const Scalar exact = std::exp(std::sin(2.0));
-  const double e1 = std::fabs(solve(0.05) - exact);
-  const double e2 = std::fabs(solve(0.025) - exact);
-  ASSERT_GT(e1, 0.0);
-  ASSERT_GT(e2, 0.0);
-  const double order = std::log2(e1 / e2);
-  EXPECT_NEAR(order, param.expected_order, 0.6) << param.name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllMethods, SolverOrderTest,
-    ::testing::Values(OrderCase{ode::Method::kEuler, 1.0, "euler"},
-                      OrderCase{ode::Method::kMidpoint, 2.0, "midpoint"},
-                      OrderCase{ode::Method::kRk4, 4.0, "rk4"},
-                      OrderCase{ode::Method::kImplicitAdams, 4.0, "adams"}),
-    [](const auto& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------------
 // Attention inversion invariants over an (n, d) grid.
