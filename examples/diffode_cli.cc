@@ -20,6 +20,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "baselines/zoo.h"
@@ -43,15 +44,14 @@ constexpr Index kMaxWidth = 4096;
 Flags ParseFlags(int argc, char** argv, int first) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
+    std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) continue;
+    arg.remove_prefix(2);
+    // --key alone means --key=1; a repeated key keeps its last value.
     const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg] = "1";
-    } else {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
+    const std::string_view value =
+        eq == std::string_view::npos ? "1" : arg.substr(eq + 1);
+    flags.insert_or_assign(std::string(arg.substr(0, eq)), std::string(value));
   }
   return flags;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: builds and runs the full test suite serially and in
-# parallel, then rebuilds the threading-relevant tests under ThreadSanitizer.
+# Tier-1 verification: builds the tree (once more with -Werror, the
+# zero-warning gate), runs the full test suite serially and in parallel,
+# then rebuilds the threading-relevant tests under ThreadSanitizer.
 #
 #   scripts/check.sh               # full sweep
 #   SKIP_TSAN=1 scripts/check.sh   # skip the ThreadSanitizer leg
@@ -54,6 +55,14 @@ fi
 echo "== tier-1: configure + build =="
 cmake -B build -S . > /dev/null
 cmake --build build -j > /dev/null
+
+echo "== tier-1: zero-warning build (-Werror) =="
+# A clean build of src/, tests/, bench/ and examples/ prints no compiler
+# warning, so a new one is never lost among old ones. The tree builds in a
+# directory of its own with -Werror: a TU that warns gets no object file,
+# so a rerun compiles it again and fails again.
+cmake -B build-werror -S . -DCMAKE_CXX_FLAGS=-Werror > /dev/null
+cmake --build build-werror -j > /dev/null
 
 echo "== tier-1: ctest, DIFFODE_NUM_THREADS=1 =="
 # This leg and the next run the whole suite on the serial and the parallel

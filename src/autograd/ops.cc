@@ -47,20 +47,6 @@ Var Mul(const Var& a, const Var& b) {
   });
 }
 
-Var Div(const Var& a, const Var& b) {
-  return MakeNode(a.value().CwiseQuotient(b.value()), {&a, &b}, [](Node& n) {
-    const Tensor& bv = n.parents[1]->value;
-    AccumulateZip(n.parents[0], n.grad, bv,
-                  [](Scalar g, Scalar v) { return g / v; });
-    // d/db (a/b) = -a / b^2 = -(a/b)/b = -value/b
-    Tensor gb = Tensor::Uninit(n.grad.shape());
-    kernels::Zip(n.grad.numel(), n.grad.data(), n.value.data(), gb.data(),
-                 [](Scalar g, Scalar y) { return g * y; });
-    AccumulateZip(n.parents[1], gb, bv,
-                  [](Scalar g, Scalar v) { return -g / v; });
-  });
-}
-
 Var AddScalar(const Var& a, Scalar s) {
   return MakeNode(a.value() + s, {&a},
                   [](Node& n) { Accumulate(n.parents[0], n.grad); });
@@ -230,12 +216,6 @@ Var Relu(const Var& a) {
 Var Exp(const Var& a) {
   return UnaryFromValue(a, kernels::ops::Exp{},
                         [](Scalar g, Scalar y) { return g * y; });
-}
-
-Var Sqrt(const Var& a) {
-  return UnaryFromValue(
-      a, [](Scalar x) { return std::sqrt(x); },
-      [](Scalar g, Scalar y) { return g * 0.5 / y; });
 }
 
 Var Square(const Var& a) {

@@ -17,7 +17,6 @@ namespace diffode::ag {
 Var Add(const Var& a, const Var& b);
 Var Sub(const Var& a, const Var& b);
 Var Mul(const Var& a, const Var& b);
-Var Div(const Var& a, const Var& b);
 
 // Scalar (compile-time constant) forms.
 Var AddScalar(const Var& a, Scalar s);
@@ -45,7 +44,6 @@ Var Tanh(const Var& a);
 Var Sigmoid(const Var& a);
 Var Relu(const Var& a);
 Var Exp(const Var& a);
-Var Sqrt(const Var& a);
 Var Square(const Var& a);
 Var Sin(const Var& a);
 

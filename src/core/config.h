@@ -38,12 +38,6 @@ struct DiffOdeConfig {
   // explicit solver is stable only when (hippo_dim/τ)·step stays inside its
   // stability region; 0 selects τ = hippo_dim * step automatically.
   Scalar hippo_timescale = 0.0;
-  // Optional training regularizer that *maximizes* the Hoyer sparsity of
-  // the forward attention rows softmax(z_i Zᵀ/√d) — the paper's "sharpen
-  // the attention" principle applied as an explicit loss. 0 disables
-  // (default: the sparsity principle is already enforced through the
-  // maxHoyer inversion).
-  Scalar hoyer_weight = 0.0;
   std::uint64_t seed = 42;
 };
 

@@ -41,10 +41,6 @@
 namespace diffode::core {
 namespace {
 
-// Must match the kSpan of diffode_model.cc: the per-sequence Encode maps
-// the observation window onto [0, kSpan] before integration.
-constexpr Scalar kSpan = 10.0;
-
 // An f64 tensor at the engine dtype (a plain copy at T = double).
 template <typename T>
 TensorT<T> ToDtype(const Tensor& t) {
@@ -244,7 +240,7 @@ class LockstepEngine {
       const data::IrregularSeries& s =
           *batch.series[static_cast<std::size_t>(r)];
       DIFFODE_CHECK_GE(s.length(), 2);
-      inputs.push_back(data::BuildEncoderInputs(s, kSpan));
+      inputs.push_back(data::BuildEncoderInputs(s, DiffOde::kSpan));
       x[static_cast<std::size_t>(r)] = ToDtype<T>(inputs.back().inputs);
       max_n = std::max(max_n, s.length());
     }

@@ -1,7 +1,6 @@
 #include "core/diffode_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <set>
 
@@ -9,14 +8,6 @@
 #include "hippo/hippo.h"
 
 namespace diffode::core {
-namespace {
-
-// Normalized integration span: the context's observation window maps to
-// [0, kSpan], matching the paper's synthetic-time scale so one integration
-// step size works across datasets.
-constexpr Scalar kSpan = 10.0;
-
-}  // namespace
 
 DiffOde::DiffOde(const DiffOdeConfig& config)
     : config_(config), rng_(config.seed) {
@@ -124,28 +115,6 @@ void DiffOde::BuildContexts(Encoded* enc_ptr) const {
   enc.z_mean = ag::MatMul(
       ag::Constant(Tensor::Full(Shape{1, n}, 1.0 / static_cast<Scalar>(n))),
       enc.z);
-  if (config_.use_attention && config_.hoyer_weight > 0.0 && n > 1 &&
-      ag::GradMode::IsEnabled()) {
-    // The Hoyer term only feeds the training loss; under no-grad forwards
-    // (evaluation, serving) it is never read, so skip building it.
-    // Maximize the mean Hoyer sparsity of the forward attention rows.
-    // Rows of softmax sum to 1, so Hoyer(p) = (√n − 1/‖p‖) / (√n − 1) and
-    // the per-row norm is all that's needed.
-    const Scalar scale = 1.0 / std::sqrt(static_cast<Scalar>(config_.latent_dim));
-    ag::Var logits =
-        ag::MulScalar(ag::MatMulNT(enc.z, enc.z), scale);
-    ag::Var p = ag::Softmax(logits);                       // n x n
-    ag::Var row_sq = ag::MatMul(ag::Mul(p, p),
-                                ag::Constant(Tensor::Ones(Shape{n, 1})));
-    ag::Var inv_norms =
-        ag::Div(ag::Constant(Tensor::Ones(Shape{n, 1})), ag::Sqrt(row_sq));
-    const Scalar sqrt_n = std::sqrt(static_cast<Scalar>(n));
-    // 1 − mean Hoyer = (mean(1/‖p‖) − 1) / (√n − 1).
-    ag::Var one_minus_hoyer = ag::MulScalar(
-        ag::AddScalar(ag::Mean(inv_norms), -1.0), 1.0 / (sqrt_n - 1.0));
-    ag::Var term = ag::MulScalar(one_minus_hoyer, config_.hoyer_weight);
-    AddAuxiliaryLoss(term);
-  }
 }
 
 void DiffOde::AddAuxiliaryLoss(const ag::Var& term) const {

@@ -79,6 +79,11 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   Tensor LatentZ(const data::IrregularSeries& context);
 
  private:
+  // Normalized integration span: the context's observation window maps to
+  // [0, kSpan], matching the paper's synthetic-time scale so one integration
+  // step size works across datasets. Encode and the lockstep engine share it.
+  static constexpr Scalar kSpan = 10.0;
+
   struct Encoded {
     ag::Var z;                         // n x d
     std::vector<DhsContext> heads;     // per-head inversion contexts
@@ -92,7 +97,7 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
 
   Encoded Encode(const data::IrregularSeries& context) const;
   // Everything Encode builds after the latent matrix Z: the per-head DHS
-  // contexts, free vectors, z_mean, and (grad mode only) the Hoyer term.
+  // contexts, free vectors and z_mean.
   // Shared by the per-sequence and batched encoders.
   void BuildContexts(Encoded* enc) const;
   // Augmented initial state [S | c | r] (or [c | r] without attention).
@@ -117,7 +122,7 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // (diffode_lockstep.cc).
   void OnFrozen(Precision precision) override;
 
-  // Adds a DHS consistency / sparsity term to this thread's aux loss.
+  // Adds a DHS consistency term to this thread's aux loss.
   void AddAuxiliaryLoss(const ag::Var& term) const;
 
   DiffOdeConfig config_;

@@ -3,19 +3,10 @@
 // tree stays portable and the scalar backend in kernels_scalar.cc is the
 // guaranteed fallback.
 //
-// Two dtypes: the f64 kernels are the PR-3 microkernels, unchanged and
-// bitwise-stable; the f32 kernels mirror them at 8 lanes per vector, which
-// is where the serving tier's ~2x FLOP density comes from. The vector
-// transcendentals live in kernels_x86_math.h, shared with the AVX-512
-// backend.
-//
-// Determinism: the panel/range functions here obey the contract documented
-// in kernels_isa.h — each output element is computed by a fixed sequence of
-// operations that depends only on its indices and the problem shape, never
-// on panel bounds or thread count. Register-block sizes (8/4/2/1 rows) give
-// every row its own accumulator registers, and SIMD lanes partition the
-// reduction axis by residue class, so regrouping rows or splitting ranges
-// never changes what is computed for a given element.
+// The kernel bodies are the shared templates of kernels_x86_panels.h; this
+// file only supplies their 256-bit register traits — 4 double or 8 float
+// lanes, tails through vmaskmov with the TailMask* blend tables — and the
+// two tables.
 
 #include "tensor/kernels_isa.h"
 
@@ -23,667 +14,83 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <type_traits>
-
 #include "tensor/kernels_x86_math.h"
+#include "tensor/kernels_x86_panels.h"
 
 namespace diffode::kernels::detail {
 namespace {
 
-using x86math::TailMaskPd;
-using x86math::TailMaskPs;
-
-// ---------------------------------------------------------------------------
-// Shared helpers.
-
-// Fixed horizontal sum: lanes combined as (l0+l2) + (l1+l3).
-inline double HSum(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-}
-
-// Fixed horizontal sum of 8 float lanes: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
-inline float HSum(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  const __m128 quad = _mm_add_ps(lo, hi);
-  const __m128 pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
-  return _mm_cvtss_f32(
-      _mm_add_ss(pair, _mm_shuffle_ps(pair, pair, _MM_SHUFFLE(1, 1, 1, 1))));
-}
-
-// ---------------------------------------------------------------------------
-// GEMM: C = A * B. Register-blocked 8x4 (f64) / 8x8 (f32) microkernel — 8
-// row accumulators × one vector of C columns, held in ymm registers across
-// the whole k loop — with 4/2/1-row variants for the row tail and a scalar
-// column tail. A is read by broadcast (contiguous per row), B by row
-// vectors, so the N variant needs no packing.
-
-template <int MR>
-inline void MicroN(Index k, const double* a, Index lda, const double* b,
-                   Index ldb, double* c, Index ldc) {
-  __m256d acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_pd();
-  for (Index p = 0; p < k; ++p) {
-    const __m256d bv = _mm256_loadu_pd(b + p * ldb);
-    for (int r = 0; r < MR; ++r)
-      acc[r] =
-          _mm256_fmadd_pd(_mm256_broadcast_sd(a + r * lda + p), bv, acc[r]);
-  }
-  for (int r = 0; r < MR; ++r) _mm256_storeu_pd(c + r * ldc, acc[r]);
-}
-
-template <int MR>
-inline void MicroN(Index k, const float* a, Index lda, const float* b,
-                   Index ldb, float* c, Index ldc) {
-  __m256 acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
-  for (Index p = 0; p < k; ++p) {
-    const __m256 bv = _mm256_loadu_ps(b + p * ldb);
-    for (int r = 0; r < MR; ++r)
-      acc[r] =
-          _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + p), bv, acc[r]);
-  }
-  for (int r = 0; r < MR; ++r) _mm256_storeu_ps(c + r * ldc, acc[r]);
-}
-
-// Masked-column variant for the f32 column tail: the same ascending-p fma
-// chain per lane with the mask confined to loads/stores, so each surviving
-// column is computed exactly as a full vector would compute it. The f32
-// serving shapes make this matter — d_h = 12 puts a third of the output
-// columns past the 8-lane boundary, and a scalar tail there costs more than
-// the vector body. The f64 kernels keep their scalar tail: those bits have
-// been frozen since the AVX2 backend landed and the 4-lane boundary already
-// divides the common f64 shapes.
-template <int MR>
-inline void MicroNMasked(Index k, Index t, const float* a, Index lda,
-                         const float* b, Index ldb, float* c, Index ldc) {
-  const __m256i mask = TailMaskPs(t);
-  __m256 acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
-  for (Index p = 0; p < k; ++p) {
-    const __m256 bv = _mm256_maskload_ps(b + p * ldb, mask);
-    for (int r = 0; r < MR; ++r)
-      acc[r] =
-          _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + p), bv, acc[r]);
-  }
-  for (int r = 0; r < MR; ++r) _mm256_maskstore_ps(c + r * ldc, mask, acc[r]);
-}
-
-// Vector width (elements) per dtype; the column blocking below is expressed
-// in units of kVW so both dtypes share the panel structure.
 template <typename T>
-inline constexpr Index kVW = Index{32} / static_cast<Index>(sizeof(T));
+struct V;
 
-template <int MR, typename T>
-inline void RowBlockN(Index i, Index k, Index n, Index nv, const T* a,
-                      const T* b, T* c) {
-  constexpr Index W = kVW<T>;
-  for (Index j = 0; j < nv; j += W)
-    MicroN<MR>(k, a + i * k, k, b + j, n, c + i * n + j, n);
-  if constexpr (std::is_same_v<T, float>) {
-    if (nv < n)
-      MicroNMasked<MR>(k, n - nv, a + i * k, k, b + nv, n, c + i * n + nv, n);
-  } else {
-    for (Index j = nv; j < n; ++j) {
-      for (int r = 0; r < MR; ++r) {
-        const T* ar = a + (i + r) * k;
-        T s = T(0);
-        for (Index p = 0; p < k; ++p) s += ar[p] * b[p * n + j];
-        c[(i + r) * n + j] = s;
-      }
-    }
+template <>
+struct V<double> {
+  using T = double;
+  using Reg = __m256d;
+  using Mask = __m256i;
+  static constexpr Index kW = 4;
+  static constexpr int kRow1Max = 8;
+  static Reg Zero() { return _mm256_setzero_pd(); }
+  static Reg Load(const double* p) { return _mm256_loadu_pd(p); }
+  static void Store(double* p, Reg v) { _mm256_storeu_pd(p, v); }
+  static Reg Broadcast(double v) { return _mm256_set1_pd(v); }
+  static Reg Fma(Reg a, Reg b, Reg c) { return _mm256_fmadd_pd(a, b, c); }
+  static Reg Add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
+  static Reg Mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+  static Mask Tail(Index t) { return x86math::TailMaskPd(t); }
+  static Reg MaskzLoad(Mask m, const double* p) {
+    return _mm256_maskload_pd(p, m);
   }
-}
-
-// Single-row fast path: the 1 x n output row is held across up to 8 column
-// accumulator vectors in one k loop, so each a[p] broadcast is shared by up
-// to 8 vectors of columns instead of the one a MicroN<1> column group sees.
-// This is the dominant GEMM shape at inference — ODE states and RNN hidden
-// states are 1 x d rows against d x d weights. Per element the arithmetic is
-// the same ascending-p fma chain as MicroN<1>, so mixing this path with the
-// blocked path keeps output bitwise identical.
-template <int NV>
-inline void Row1Block(Index k, Index n, const double* a, const double* b,
-                      double* c) {
-  __m256d acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
-  for (Index p = 0; p < k; ++p) {
-    const __m256d av = _mm256_broadcast_sd(a + p);
-    const double* br = b + p * n;
-    for (int v = 0; v < NV; ++v)
-      acc[v] = _mm256_fmadd_pd(av, _mm256_loadu_pd(br + 4 * v), acc[v]);
+  static void MaskStore(double* p, Mask m, Reg v) {
+    _mm256_maskstore_pd(p, m, v);
   }
-  for (int v = 0; v < NV; ++v) _mm256_storeu_pd(c + 4 * v, acc[v]);
-}
-
-template <int NV>
-inline void Row1Block(Index k, Index n, const float* a, const float* b,
-                      float* c) {
-  __m256 acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_ps();
-  for (Index p = 0; p < k; ++p) {
-    const __m256 av = _mm256_broadcast_ss(a + p);
-    const float* br = b + p * n;
-    for (int v = 0; v < NV; ++v)
-      acc[v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(br + 8 * v), acc[v]);
+  // Fixed combining tree: (l0+l2) + (l1+l3).
+  static double HSum(Reg v) {
+    const __m128d lo = _mm256_castpd256_pd128(v);
+    const __m128d hi = _mm256_extractf128_pd(v, 1);
+    const __m128d pair = _mm_add_pd(lo, hi);
+    return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
   }
-  for (int v = 0; v < NV; ++v) _mm256_storeu_ps(c + 8 * v, acc[v]);
-}
+};
 
-template <typename T>
-inline void GemmRow1(Index k, Index n, const T* a, const T* b, T* c) {
-  constexpr Index W = kVW<T>;
-  const Index nv = n & ~(W - 1);
-  Index j = 0;
-  for (; j + 8 * W <= nv; j += 8 * W) Row1Block<8>(k, n, a, b + j, c + j);
-  if (nv - j >= 4 * W) {
-    Row1Block<4>(k, n, a, b + j, c + j);
-    j += 4 * W;
+template <>
+struct V<float> {
+  using T = float;
+  using Reg = __m256;
+  using Mask = __m256i;
+  static constexpr Index kW = 8;
+  static constexpr int kRow1Max = 8;
+  static Reg Zero() { return _mm256_setzero_ps(); }
+  static Reg Load(const float* p) { return _mm256_loadu_ps(p); }
+  static void Store(float* p, Reg v) { _mm256_storeu_ps(p, v); }
+  static Reg Broadcast(float v) { return _mm256_set1_ps(v); }
+  static Reg Fma(Reg a, Reg b, Reg c) { return _mm256_fmadd_ps(a, b, c); }
+  static Reg Add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
+  static Reg Mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
+  static Mask Tail(Index t) { return x86math::TailMaskPs(t); }
+  static Reg MaskzLoad(Mask m, const float* p) {
+    return _mm256_maskload_ps(p, m);
   }
-  if (nv - j >= 2 * W) {
-    Row1Block<2>(k, n, a, b + j, c + j);
-    j += 2 * W;
+  static void MaskStore(float* p, Mask m, Reg v) {
+    _mm256_maskstore_ps(p, m, v);
   }
-  if (nv - j >= W) {
-    Row1Block<1>(k, n, a, b + j, c + j);
-    j += W;
+  // Fixed combining tree: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+  static float HSum(Reg v) {
+    const __m128 lo = _mm256_castps256_ps128(v);
+    const __m128 hi = _mm256_extractf128_ps(v, 1);
+    const __m128 quad = _mm_add_ps(lo, hi);
+    const __m128 pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
+    return _mm_cvtss_f32(_mm_add_ss(
+        pair, _mm_shuffle_ps(pair, pair, _MM_SHUFFLE(1, 1, 1, 1))));
   }
-  if constexpr (std::is_same_v<T, float>) {
-    if (j < n) MicroNMasked<1>(k, n - j, a, k, b + j, n, c + j, n);
-  } else {
-    for (; j < n; ++j) {
-      T s = T(0);
-      for (Index p = 0; p < k; ++p) s += a[p] * b[p * n + j];
-      c[j] = s;
-    }
-  }
-}
-
-template <typename T>
-void GemmPanelAvx2(Index i0, Index i1, Index k, Index n, const T* a,
-                   const T* b, T* c) {
-  const Index nv = n & ~(kVW<T> - 1);
-  Index i = i0;
-  for (; i + 8 <= i1; i += 8) RowBlockN<8>(i, k, n, nv, a, b, c);
-  if (i1 - i >= 4) {
-    RowBlockN<4>(i, k, n, nv, a, b, c);
-    i += 4;
-  }
-  if (i1 - i >= 2) {
-    RowBlockN<2>(i, k, n, nv, a, b, c);
-    i += 2;
-  }
-  if (i1 - i >= 1) GemmRow1(k, n, a + i * k, b, c + i * n);
-}
-
-// ---------------------------------------------------------------------------
-// GemmTN: C = A^T * B with A stored (k x m). Reading A down a column touches
-// a new cache line every step, so each row block packs its A panel into a
-// contiguous (kc x MR) buffer once and reuses it across all column-vector
-// microkernel invocations. k is blocked at kKc to bound the pack buffer; C
-// accumulates across k-blocks in increasing p order, which keeps per-element
-// arithmetic independent of the blocking. The first k-block starts its
-// accumulators at zero instead of loading C (same arithmetic:
-// (0 + block0) + block1 + ...), so the common k <= kKc case touches C
-// exactly once — no zero-fill pass, no reload. Backward weight gradients
-// call this with tiny k, where those extra C passes used to dominate.
-
-constexpr Index kKc = 256;
-
-template <int MR>
-inline void MicroPackedA(bool first, Index pc, const double* ap,
-                         const double* b, Index ldb, double* c, Index ldc) {
-  __m256d acc[MR];
-  if (first) {
-    for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_pd();
-  } else {
-    for (int r = 0; r < MR; ++r) acc[r] = _mm256_loadu_pd(c + r * ldc);
-  }
-  for (Index p = 0; p < pc; ++p) {
-    const __m256d bv = _mm256_loadu_pd(b + p * ldb);
-    for (int r = 0; r < MR; ++r)
-      acc[r] = _mm256_fmadd_pd(_mm256_broadcast_sd(ap + p * MR + r), bv,
-                               acc[r]);
-  }
-  for (int r = 0; r < MR; ++r) _mm256_storeu_pd(c + r * ldc, acc[r]);
-}
-
-template <int MR>
-inline void MicroPackedA(bool first, Index pc, const float* ap, const float* b,
-                         Index ldb, float* c, Index ldc) {
-  __m256 acc[MR];
-  if (first) {
-    for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
-  } else {
-    for (int r = 0; r < MR; ++r) acc[r] = _mm256_loadu_ps(c + r * ldc);
-  }
-  for (Index p = 0; p < pc; ++p) {
-    const __m256 bv = _mm256_loadu_ps(b + p * ldb);
-    for (int r = 0; r < MR; ++r)
-      acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(ap + p * MR + r), bv,
-                               acc[r]);
-  }
-  for (int r = 0; r < MR; ++r) _mm256_storeu_ps(c + r * ldc, acc[r]);
-}
-
-// Masked f32 column tail for the packed-A microkernel, mirroring
-// MicroNMasked (same rationale; the f64 tail stays scalar and bit-frozen).
-template <int MR>
-inline void MicroPackedAMasked(bool first, Index pc, Index t, const float* ap,
-                               const float* b, Index ldb, float* c,
-                               Index ldc) {
-  const __m256i mask = TailMaskPs(t);
-  __m256 acc[MR];
-  if (first) {
-    for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
-  } else {
-    for (int r = 0; r < MR; ++r) acc[r] = _mm256_maskload_ps(c + r * ldc, mask);
-  }
-  for (Index p = 0; p < pc; ++p) {
-    const __m256 bv = _mm256_maskload_ps(b + p * ldb, mask);
-    for (int r = 0; r < MR; ++r)
-      acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(ap + p * MR + r), bv,
-                               acc[r]);
-  }
-  for (int r = 0; r < MR; ++r) _mm256_maskstore_ps(c + r * ldc, mask, acc[r]);
-}
-
-template <int MR, typename T>
-inline void RowBlockTN(bool first, Index i, Index m, Index n, Index nv,
-                       Index p0, Index pc, const T* a, const T* b, T* c,
-                       T* apack) {
-  constexpr Index W = kVW<T>;
-  for (Index p = 0; p < pc; ++p) {
-    const T* src = a + (p0 + p) * m + i;
-    for (int r = 0; r < MR; ++r) apack[p * MR + r] = src[r];
-  }
-  for (Index j = 0; j < nv; j += W)
-    MicroPackedA<MR>(first, pc, apack, b + p0 * n + j, n, c + i * n + j, n);
-  if constexpr (std::is_same_v<T, float>) {
-    if (nv < n)
-      MicroPackedAMasked<MR>(first, pc, n - nv, apack, b + p0 * n + nv, n,
-                             c + i * n + nv, n);
-  } else {
-    for (Index j = nv; j < n; ++j) {
-      for (int r = 0; r < MR; ++r) {
-        T s = first ? T(0) : c[(i + r) * n + j];
-        for (Index p = 0; p < pc; ++p)
-          s += apack[p * MR + r] * b[(p0 + p) * n + j];
-        c[(i + r) * n + j] = s;
-      }
-    }
-  }
-}
-
-template <typename T>
-void GemmTNPanelAvx2(Index i0, Index i1, Index m, Index k, Index n,
-                     const T* a, const T* b, T* c) {
-  if (k == 0) {
-    std::fill(c + i0 * n, c + i1 * n, T(0));
-    return;
-  }
-  const Index nv = n & ~(kVW<T> - 1);
-  alignas(32) T apack[kKc * 8];
-  for (Index p0 = 0; p0 < k; p0 += kKc) {
-    const bool first = p0 == 0;
-    const Index pc = std::min(k - p0, kKc);
-    Index i = i0;
-    for (; i + 8 <= i1; i += 8)
-      RowBlockTN<8>(first, i, m, n, nv, p0, pc, a, b, c, apack);
-    if (i1 - i >= 4) {
-      RowBlockTN<4>(first, i, m, n, nv, p0, pc, a, b, c, apack);
-      i += 4;
-    }
-    if (i1 - i >= 2) {
-      RowBlockTN<2>(first, i, m, n, nv, p0, pc, a, b, c, apack);
-      i += 2;
-    }
-    if (i1 - i >= 1)
-      RowBlockTN<1>(first, i, m, n, nv, p0, pc, a, b, c, apack);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// GemmNT: C = A * B^T with B stored (n x k). Both operands are contiguous
-// along k, so instead of packing, the microkernel vectorizes the reduction
-// axis itself: each output element owns one vector accumulator (lane l sums
-// the p ≡ l terms) finished by the fixed HSum — plus a scalar k-tail for
-// f64, or one masked vector step for f32 (see NTBlock4). A 2x4 element
-// block shares the a/b row loads; the arithmetic per element is that of
-// VecDot regardless of the blocking, so row pairing never changes bits.
-
-inline double VecDot(Index k, const double* x, const double* y) {
-  const Index k4 = k & ~Index{3};
-  __m256d acc = _mm256_setzero_pd();
-  for (Index p = 0; p < k4; p += 4)
-    acc = _mm256_fmadd_pd(_mm256_loadu_pd(x + p), _mm256_loadu_pd(y + p), acc);
-  double s = HSum(acc);
-  for (Index p = k4; p < k; ++p) s += x[p] * y[p];
-  return s;
-}
-
-inline float VecDot(Index k, const float* x, const float* y) {
-  const Index k8 = k & ~Index{7};
-  __m256 acc = _mm256_setzero_ps();
-  for (Index p = 0; p < k8; p += 8)
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + p), _mm256_loadu_ps(y + p), acc);
-  if (k8 < k) {
-    const __m256i mask = TailMaskPs(k - k8);
-    acc = _mm256_fmadd_ps(_mm256_maskload_ps(x + k8, mask),
-                          _mm256_maskload_ps(y + k8, mask), acc);
-  }
-  return HSum(acc);
-}
-
-template <int MR>
-inline void NTBlock4(Index i, Index j, Index k, Index n, const double* a,
-                     const double* b, double* c) {
-  const Index k4 = k & ~Index{3};
-  __m256d acc[MR][4];
-  for (int r = 0; r < MR; ++r)
-    for (int jj = 0; jj < 4; ++jj) acc[r][jj] = _mm256_setzero_pd();
-  for (Index p = 0; p < k4; p += 4) {
-    __m256d av[MR];
-    for (int r = 0; r < MR; ++r) av[r] = _mm256_loadu_pd(a + (i + r) * k + p);
-    for (int jj = 0; jj < 4; ++jj) {
-      const __m256d bv = _mm256_loadu_pd(b + (j + jj) * k + p);
-      for (int r = 0; r < MR; ++r)
-        acc[r][jj] = _mm256_fmadd_pd(av[r], bv, acc[r][jj]);
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    for (int jj = 0; jj < 4; ++jj) {
-      double s = HSum(acc[r][jj]);
-      const double* ar = a + (i + r) * k;
-      const double* bj = b + (j + jj) * k;
-      for (Index p = k4; p < k; ++p) s += ar[p] * bj[p];
-      c[(i + r) * n + j + jj] = s;
-    }
-  }
-}
-
-// The f32 variant folds the k-tail into the lane accumulators with a masked
-// load (lane l still sums the p ≡ l terms; masked-off lanes contribute
-// exactly zero), so the only scalar work left is the fixed HSum. This must
-// stay arithmetic-identical to the f32 VecDot below — the blocking contract
-// is that row pairing never changes an element's bits.
-template <int MR>
-inline void NTBlock4(Index i, Index j, Index k, Index n, const float* a,
-                     const float* b, float* c) {
-  const Index k8 = k & ~Index{7};
-  __m256 acc[MR][4];
-  for (int r = 0; r < MR; ++r)
-    for (int jj = 0; jj < 4; ++jj) acc[r][jj] = _mm256_setzero_ps();
-  for (Index p = 0; p < k8; p += 8) {
-    __m256 av[MR];
-    for (int r = 0; r < MR; ++r) av[r] = _mm256_loadu_ps(a + (i + r) * k + p);
-    for (int jj = 0; jj < 4; ++jj) {
-      const __m256 bv = _mm256_loadu_ps(b + (j + jj) * k + p);
-      for (int r = 0; r < MR; ++r)
-        acc[r][jj] = _mm256_fmadd_ps(av[r], bv, acc[r][jj]);
-    }
-  }
-  if (k8 < k) {
-    const __m256i mask = TailMaskPs(k - k8);
-    __m256 av[MR];
-    for (int r = 0; r < MR; ++r)
-      av[r] = _mm256_maskload_ps(a + (i + r) * k + k8, mask);
-    for (int jj = 0; jj < 4; ++jj) {
-      const __m256 bv = _mm256_maskload_ps(b + (j + jj) * k + k8, mask);
-      for (int r = 0; r < MR; ++r)
-        acc[r][jj] = _mm256_fmadd_ps(av[r], bv, acc[r][jj]);
-    }
-  }
-  for (int r = 0; r < MR; ++r)
-    for (int jj = 0; jj < 4; ++jj) c[(i + r) * n + j + jj] = HSum(acc[r][jj]);
-}
-
-template <typename T>
-void GemmNTPanelAvx2(Index i0, Index i1, Index k, Index n, const T* a,
-                     const T* b, T* c) {
-  const Index n4 = n & ~Index{3};
-  Index i = i0;
-  for (; i + 2 <= i1; i += 2) {
-    for (Index j = 0; j < n4; j += 4) NTBlock4<2>(i, j, k, n, a, b, c);
-    for (Index j = n4; j < n; ++j) {
-      c[i * n + j] = VecDot(k, a + i * k, b + j * k);
-      c[(i + 1) * n + j] = VecDot(k, a + (i + 1) * k, b + j * k);
-    }
-  }
-  if (i < i1) {
-    for (Index j = 0; j < n4; j += 4) NTBlock4<1>(i, j, k, n, a, b, c);
-    for (Index j = n4; j < n; ++j)
-      c[i * n + j] = VecDot(k, a + i * k, b + j * k);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Contiguous-range vector ops.
-
-void AxpyRangeAvx2(Index n, double alpha, const double* x, double* y) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  Index i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(
-        y + i, _mm256_fmadd_pd(av, _mm256_loadu_pd(x + i),
-                               _mm256_loadu_pd(y + i)));
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void AxpyRangeAvx2F32(Index n, float alpha, const float* x, float* y) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  Index i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        y + i, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + i),
-                               _mm256_loadu_ps(y + i)));
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void AddScaledRangeAvx2(Index n, const double* x, double alpha,
-                        const double* y, double* out) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  Index i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(
-        out + i, _mm256_fmadd_pd(av, _mm256_loadu_pd(y + i),
-                                 _mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) out[i] = x[i] + alpha * y[i];
-}
-
-void AddScaledRangeAvx2F32(Index n, const float* x, float alpha,
-                           const float* y, float* out) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  Index i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        out + i, _mm256_fmadd_ps(av, _mm256_loadu_ps(y + i),
-                                 _mm256_loadu_ps(x + i)));
-  for (; i < n; ++i) out[i] = x[i] + alpha * y[i];
-}
-
-void ScaleRangeAvx2(Index n, double alpha, double* x) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  Index i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(av, _mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-void ScaleRangeAvx2F32(Index n, float alpha, float* x) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  Index i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(av, _mm256_loadu_ps(x + i)));
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-// Reduction partials over one fixed-grid chunk: two vector accumulator
-// chains (lane = p mod W within each chain), combined in a fixed order, then
-// the scalar tail in element order. The chunk grid itself lives in
-// kernels.cc; this only fixes the intra-chunk association.
-
-double SumRangeAvx2(Index n, const double* x) {
-  const Index n8 = n & ~Index{7};
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  Index i = 0;
-  for (; i < n8; i += 8) {
-    acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(x + i));
-    acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(x + i + 4));
-  }
-  double s = HSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
-float SumRangeAvx2F32(Index n, const float* x) {
-  const Index n16 = n & ~Index{15};
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  Index i = 0;
-  for (; i < n16; i += 16) {
-    acc0 = _mm256_add_ps(acc0, _mm256_loadu_ps(x + i));
-    acc1 = _mm256_add_ps(acc1, _mm256_loadu_ps(x + i + 8));
-  }
-  float s = HSum(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
-double DotRangeAvx2(Index n, const double* x, const double* y) {
-  const Index n8 = n & ~Index{7};
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  Index i = 0;
-  for (; i < n8; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i),
-                           acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4),
-                           _mm256_loadu_pd(y + i + 4), acc1);
-  }
-  double s = HSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
-
-float DotRangeAvx2F32(Index n, const float* x, const float* y) {
-  const Index n16 = n & ~Index{15};
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  Index i = 0;
-  for (; i < n16; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i + 8),
-                           _mm256_loadu_ps(y + i + 8), acc1);
-  }
-  float s = HSum(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Vector transcendentals: thin wrappers around the shared 256-bit functions
-// in kernels_x86_math.h (identical arithmetic on AVX2 and AVX-512).
-
-void TanhRangeAvx2(Index n, const double* x, double* out) {
-  x86math::MapRangePd<x86math::TanhPd>(n, x, out);
-}
-
-void SigmoidRangeAvx2(Index n, const double* x, double* out) {
-  x86math::MapRangePd<x86math::SigmoidPd>(n, x, out);
-}
-
-void ExpRangeAvx2(Index n, const double* x, double* out) {
-  x86math::MapRangePd<x86math::ExpPd>(n, x, out);
-}
-
-void TanhRangeAvx2F32(Index n, const float* x, float* out) {
-  x86math::MapRangePs<x86math::TanhPs>(n, x, out);
-}
-
-void SigmoidRangeAvx2F32(Index n, const float* x, float* out) {
-  x86math::MapRangePs<x86math::SigmoidPs>(n, x, out);
-}
-
-void ExpRangeAvx2F32(Index n, const float* x, float* out) {
-  x86math::MapRangePs<x86math::ExpPs>(n, x, out);
-}
-
-// Batched-row movement: vector-wide copies with a masked tail. Copies carry
-// bits unchanged, so these match the scalar backend bitwise.
-inline void CopyRowAvx2(Index cols, const double* s, double* d) {
-  Index j = 0;
-  for (; j + 4 <= cols; j += 4)
-    _mm256_storeu_pd(d + j, _mm256_loadu_pd(s + j));
-  if (j < cols) {
-    const __m256i mask = TailMaskPd(cols - j);
-    _mm256_maskstore_pd(d + j, mask, _mm256_maskload_pd(s + j, mask));
-  }
-}
-
-inline void CopyRowAvx2(Index cols, const float* s, float* d) {
-  Index j = 0;
-  for (; j + 8 <= cols; j += 8)
-    _mm256_storeu_ps(d + j, _mm256_loadu_ps(s + j));
-  if (j < cols) {
-    const __m256i mask = TailMaskPs(cols - j);
-    _mm256_maskstore_ps(d + j, mask, _mm256_maskload_ps(s + j, mask));
-  }
-}
-
-template <typename T>
-void MaskedRowUpdateRowsAvx2(Index rows, Index cols, const unsigned char* mask,
-                             const T* src, T* dst) {
-  for (Index r = 0; r < rows; ++r)
-    if (mask[r]) CopyRowAvx2(cols, src + r * cols, dst + r * cols);
-}
-
-template <typename T>
-void SelectRowsRangeAvx2(Index count, Index cols, const Index* rows,
-                         const T* src, T* dst) {
-  for (Index i = 0; i < count; ++i)
-    CopyRowAvx2(cols, src + rows[i] * cols, dst + i * cols);
-}
-
-template <typename T>
-void ScatterRowsRangeAvx2(Index count, Index cols, const Index* rows,
-                          const T* src, T* dst) {
-  for (Index i = 0; i < count; ++i)
-    CopyRowAvx2(cols, src + i * cols, dst + rows[i] * cols);
-}
+};
 
 }  // namespace
 
 constinit const KernelTable<double>  // dtype:ok — per-dtype table
-    kAvx2TableF64 = {
-        GemmPanelAvx2<double>,      // dtype:ok — f64 instantiation
-        GemmTNPanelAvx2<double>,    // dtype:ok
-        GemmNTPanelAvx2<double>,    // dtype:ok
-        AxpyRangeAvx2,   AddScaledRangeAvx2, ScaleRangeAvx2,
-        SumRangeAvx2,    DotRangeAvx2,
-        TanhRangeAvx2,   SigmoidRangeAvx2,   ExpRangeAvx2,
-        MaskedRowUpdateRowsAvx2<double>,     // dtype:ok
-        SelectRowsRangeAvx2<double>,         // dtype:ok
-        ScatterRowsRangeAvx2<double>,        // dtype:ok
-};
-
-constinit const KernelTable<float> kAvx2TableF32 = {
-    GemmPanelAvx2<float>,      GemmTNPanelAvx2<float>,
-    GemmNTPanelAvx2<float>,
-    AxpyRangeAvx2F32,          AddScaledRangeAvx2F32, ScaleRangeAvx2F32,
-    SumRangeAvx2F32,           DotRangeAvx2F32,
-    TanhRangeAvx2F32,          SigmoidRangeAvx2F32,   ExpRangeAvx2F32,
-    MaskedRowUpdateRowsAvx2<float>,
-    SelectRowsRangeAvx2<float>,
-    ScatterRowsRangeAvx2<float>,
-};
+    kAvx2TableF64 = x86::MakeTable<V<double>>();  // dtype:ok
+constinit const KernelTable<float> kAvx2TableF32 =
+    x86::MakeTable<V<float>>();
 
 }  // namespace diffode::kernels::detail
 

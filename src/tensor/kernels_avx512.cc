@@ -1,21 +1,12 @@
 // AVX-512 (F+DQ) backend for the kernel layer. This translation unit is
 // compiled with -mavx512f -mavx512dq (see src/tensor/CMakeLists.txt); the
-// rest of the tree stays portable. Unlike the AVX2 backend there is no
-// bitwise legacy to preserve, so both dtypes share one set of panel
-// templates over a small vector-trait wrapper: 8 double or 16 float lanes
-// per register, mask registers instead of blend tables for tails.
+// rest of the tree stays portable.
 //
-// The vector transcendentals are the shared 256-bit functions from
-// kernels_x86_math.h — identical arithmetic to the AVX2 ISA. The wins of
-// this backend are the GEMM panels and vector ops, which carry the batched
-// serving engine; widening exp/tanh would change their results across ISAs
-// for little gain.
-//
-// Determinism: same contract as every backend (kernels_isa.h) — each output
-// element is computed by a fixed operation sequence depending only on its
-// indices and the problem shape. Lanes partition the reduction axis by
-// residue class mod the vector width; horizontal sums use one fixed
-// combining tree.
+// The kernel bodies are the shared templates of kernels_x86_panels.h, the
+// same ones the AVX2 backend instantiates; this file only supplies their
+// 512-bit register traits — 8 double or 16 float lanes, mask registers for
+// tails — and the two tables. The transcendentals stay the 256-bit
+// functions of kernels_x86_math.h, identical arithmetic to the AVX2 ISA.
 
 #include "tensor/kernels_isa.h"
 
@@ -23,25 +14,26 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cstdint>
-
-#include "tensor/kernels_x86_math.h"
+#include "tensor/kernels_x86_panels.h"
 
 namespace diffode::kernels::detail {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Vector traits: the only dtype-specific surface of this backend.
+// The 256-bit halves are taken with zero-masking extracts under a full
+// mask: the same vextract instruction as _mm512_castpd512_pd256 and
+// _mm512_extractf64x4_pd, without the undefined pass-through operand GCC
+// warns about.
 
 template <typename T>
 struct V;
 
 template <>
 struct V<double> {
+  using T = double;
   using Reg = __m512d;
   using Mask = __mmask8;
   static constexpr Index kW = 8;
+  static constexpr int kRow1Max = 4;
   static Reg Zero() { return _mm512_setzero_pd(); }
   static Reg Load(const double* p) { return _mm512_loadu_pd(p); }
   static void Store(double* p, Reg v) { _mm512_storeu_pd(p, v); }
@@ -56,11 +48,11 @@ struct V<double> {
   static void MaskStore(double* p, Mask m, Reg v) {
     _mm512_mask_storeu_pd(p, m, v);
   }
-  // Fixed combining tree: lane l joins lane l+4, then l+2, then l+1, after
-  // an initial lo256+hi256 fold — one order for every call site.
+  // Fixed combining tree: lo256 + hi256, then lane l joins lane l+2, then
+  // l+1 — one order for every call site.
   static double HSum(Reg v) {
-    const __m256d lo = _mm512_castpd512_pd256(v);
-    const __m256d hi = _mm512_extractf64x4_pd(v, 1);
+    const __m256d lo = _mm512_maskz_extractf64x4_pd(0xF, v, 0);
+    const __m256d hi = _mm512_maskz_extractf64x4_pd(0xF, v, 1);
     const __m256d quad = _mm256_add_pd(lo, hi);
     const __m128d l = _mm256_castpd256_pd128(quad);
     const __m128d h = _mm256_extractf128_pd(quad, 1);
@@ -71,9 +63,11 @@ struct V<double> {
 
 template <>
 struct V<float> {
+  using T = float;
   using Reg = __m512;
   using Mask = __mmask16;
   static constexpr Index kW = 16;
+  static constexpr int kRow1Max = 4;
   static Reg Zero() { return _mm512_setzero_ps(); }
   static Reg Load(const float* p) { return _mm512_loadu_ps(p); }
   static void Store(float* p, Reg v) { _mm512_storeu_ps(p, v); }
@@ -89,8 +83,8 @@ struct V<float> {
     _mm512_mask_storeu_ps(p, m, v);
   }
   static float HSum(Reg v) {
-    const __m256 lo = _mm512_castps512_ps256(v);
-    const __m256 hi = _mm512_extractf32x8_ps(v, 1);  // needs AVX-512 DQ
+    const __m256 lo = _mm512_maskz_extractf32x8_ps(0xFF, v, 0);  // DQ
+    const __m256 hi = _mm512_maskz_extractf32x8_ps(0xFF, v, 1);
     const __m256 oct = _mm256_add_ps(lo, hi);
     const __m128 l = _mm256_castps256_ps128(oct);
     const __m128 h = _mm256_extractf128_ps(oct, 1);
@@ -101,402 +95,12 @@ struct V<float> {
   }
 };
 
-// ---------------------------------------------------------------------------
-// GEMM: C = A * B. Same register-blocking scheme as the AVX2 backend (8
-// row accumulators × one vector of C columns, 4/2/1-row tails) at 512-bit
-// width; column tails run a masked microkernel instead of a scalar loop —
-// with mask registers the tail is the identical fma chain, just with dead
-// lanes, so it needs no separate determinism argument.
-
-template <int MR, typename T>
-inline void MicroN(Index k, typename V<T>::Mask m, const T* a, Index lda,
-                   const T* b, Index ldb, T* c, Index ldc) {
-  using W = V<T>;
-  typename W::Reg acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = W::Zero();
-  for (Index p = 0; p < k; ++p) {
-    const typename W::Reg bv = W::MaskzLoad(m, b + p * ldb);
-    for (int r = 0; r < MR; ++r)
-      acc[r] = W::Fma(W::Broadcast(a[r * lda + p]), bv, acc[r]);
-  }
-  for (int r = 0; r < MR; ++r) W::MaskStore(c + r * ldc, m, acc[r]);
-}
-
-template <int MR, typename T>
-inline void RowBlockN(Index i, Index k, Index n, const T* a, const T* b,
-                      T* c) {
-  using W = V<T>;
-  constexpr Index kW = W::kW;
-  const Index nv = n & ~(kW - 1);
-  const typename W::Mask full = W::Tail(kW == 8 ? 8 : 16);
-  for (Index j = 0; j < nv; j += kW)
-    MicroN<MR, T>(k, full, a + i * k, k, b + j, n, c + i * n + j, n);
-  if (nv < n)
-    MicroN<MR, T>(k, W::Tail(n - nv), a + i * k, k, b + nv, n, c + i * n + nv,
-                  n);
-}
-
-// Single-row fast path (the dominant inference GEMM shape): up to 4 column
-// vectors (64 f64 / 128 f32 columns per iteration) share each a[p]
-// broadcast.
-template <int NV, typename T>
-inline void Row1Block(Index k, Index n, const T* a, const T* b, T* c) {
-  using W = V<T>;
-  typename W::Reg acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = W::Zero();
-  for (Index p = 0; p < k; ++p) {
-    const typename W::Reg av = W::Broadcast(a[p]);
-    const T* br = b + p * n;
-    for (int v = 0; v < NV; ++v)
-      acc[v] = W::Fma(av, W::Load(br + W::kW * v), acc[v]);
-  }
-  for (int v = 0; v < NV; ++v) W::Store(c + W::kW * v, acc[v]);
-}
-
-template <typename T>
-inline void GemmRow1(Index k, Index n, const T* a, const T* b, T* c) {
-  using W = V<T>;
-  constexpr Index kW = W::kW;
-  const Index nv = n & ~(kW - 1);
-  Index j = 0;
-  for (; j + 4 * kW <= nv; j += 4 * kW) Row1Block<4, T>(k, n, a, b + j, c + j);
-  if (nv - j >= 2 * kW) {
-    Row1Block<2, T>(k, n, a, b + j, c + j);
-    j += 2 * kW;
-  }
-  if (nv - j >= kW) {
-    Row1Block<1, T>(k, n, a, b + j, c + j);
-    j += kW;
-  }
-  if (j < n) MicroN<1, T>(k, W::Tail(n - j), a, k, b + j, n, c + j, n);
-}
-
-template <typename T>
-void GemmPanelAvx512(Index i0, Index i1, Index k, Index n, const T* a,
-                     const T* b, T* c) {
-  Index i = i0;
-  for (; i + 8 <= i1; i += 8) RowBlockN<8>(i, k, n, a, b, c);
-  if (i1 - i >= 4) {
-    RowBlockN<4>(i, k, n, a, b, c);
-    i += 4;
-  }
-  if (i1 - i >= 2) {
-    RowBlockN<2>(i, k, n, a, b, c);
-    i += 2;
-  }
-  if (i1 - i >= 1) GemmRow1(k, n, a + i * k, b, c + i * n);
-}
-
-// ---------------------------------------------------------------------------
-// GemmTN: C = A^T * B with A stored (k x m). Same packing scheme as the
-// AVX2 backend: per row block, the A panel is packed (kc x MR) once; C
-// accumulates across k-blocks in increasing p order with the first block
-// starting from zero.
-
-constexpr Index kKc = 256;
-
-template <int MR, typename T>
-inline void MicroPackedA(bool first, Index pc, typename V<T>::Mask m,
-                         const T* ap, const T* b, Index ldb, T* c, Index ldc) {
-  using W = V<T>;
-  typename W::Reg acc[MR];
-  if (first) {
-    for (int r = 0; r < MR; ++r) acc[r] = W::Zero();
-  } else {
-    for (int r = 0; r < MR; ++r) acc[r] = W::MaskzLoad(m, c + r * ldc);
-  }
-  for (Index p = 0; p < pc; ++p) {
-    const typename W::Reg bv = W::MaskzLoad(m, b + p * ldb);
-    for (int r = 0; r < MR; ++r)
-      acc[r] = W::Fma(W::Broadcast(ap[p * MR + r]), bv, acc[r]);
-  }
-  for (int r = 0; r < MR; ++r) W::MaskStore(c + r * ldc, m, acc[r]);
-}
-
-template <int MR, typename T>
-inline void RowBlockTN(bool first, Index i, Index m, Index n, Index p0,
-                       Index pc, const T* a, const T* b, T* c, T* apack) {
-  using W = V<T>;
-  constexpr Index kW = W::kW;
-  const Index nv = n & ~(kW - 1);
-  for (Index p = 0; p < pc; ++p) {
-    const T* src = a + (p0 + p) * m + i;
-    for (int r = 0; r < MR; ++r) apack[p * MR + r] = src[r];
-  }
-  const typename W::Mask full = W::Tail(kW == 8 ? 8 : 16);
-  for (Index j = 0; j < nv; j += kW)
-    MicroPackedA<MR, T>(first, pc, full, apack, b + p0 * n + j, n,
-                        c + i * n + j, n);
-  if (nv < n)
-    MicroPackedA<MR, T>(first, pc, W::Tail(n - nv), apack, b + p0 * n + nv, n,
-                        c + i * n + nv, n);
-}
-
-template <typename T>
-void GemmTNPanelAvx512(Index i0, Index i1, Index m, Index k, Index n,
-                       const T* a, const T* b, T* c) {
-  if (k == 0) {
-    std::fill(c + i0 * n, c + i1 * n, T(0));
-    return;
-  }
-  alignas(64) T apack[kKc * 8];
-  for (Index p0 = 0; p0 < k; p0 += kKc) {
-    const bool first = p0 == 0;
-    const Index pc = std::min(k - p0, kKc);
-    Index i = i0;
-    for (; i + 8 <= i1; i += 8)
-      RowBlockTN<8>(first, i, m, n, p0, pc, a, b, c, apack);
-    if (i1 - i >= 4) {
-      RowBlockTN<4>(first, i, m, n, p0, pc, a, b, c, apack);
-      i += 4;
-    }
-    if (i1 - i >= 2) {
-      RowBlockTN<2>(first, i, m, n, p0, pc, a, b, c, apack);
-      i += 2;
-    }
-    if (i1 - i >= 1) RowBlockTN<1>(first, i, m, n, p0, pc, a, b, c, apack);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// GemmNT: C = A * B^T with B stored (n x k). Reduction-axis vectorization:
-// each output element owns one vector accumulator finished by the fixed
-// HSum; the masked k-tail runs the same fma chain with dead lanes. A 2x4
-// element block shares the a/b row loads; per-element arithmetic equals
-// VecDot regardless of blocking.
-
-template <typename T>
-inline T VecDot(Index k, const T* x, const T* y) {
-  using W = V<T>;
-  constexpr Index kW = W::kW;
-  const Index kv = k & ~(kW - 1);
-  typename W::Reg acc = W::Zero();
-  for (Index p = 0; p < kv; p += kW)
-    acc = W::Fma(W::Load(x + p), W::Load(y + p), acc);
-  if (kv < k) {
-    const typename W::Mask m = W::Tail(k - kv);
-    acc = W::Fma(W::MaskzLoad(m, x + kv), W::MaskzLoad(m, y + kv), acc);
-  }
-  return W::HSum(acc);
-}
-
-template <int MR, typename T>
-inline void NTBlock4(Index i, Index j, Index k, Index n, const T* a,
-                     const T* b, T* c) {
-  using W = V<T>;
-  constexpr Index kW = W::kW;
-  const Index kv = k & ~(kW - 1);
-  typename W::Reg acc[MR][4];
-  for (int r = 0; r < MR; ++r)
-    for (int jj = 0; jj < 4; ++jj) acc[r][jj] = W::Zero();
-  for (Index p = 0; p < kv; p += kW) {
-    typename W::Reg av[MR];
-    for (int r = 0; r < MR; ++r) av[r] = W::Load(a + (i + r) * k + p);
-    for (int jj = 0; jj < 4; ++jj) {
-      const typename W::Reg bv = W::Load(b + (j + jj) * k + p);
-      for (int r = 0; r < MR; ++r) acc[r][jj] = W::Fma(av[r], bv, acc[r][jj]);
-    }
-  }
-  if (kv < k) {
-    const typename W::Mask m = W::Tail(k - kv);
-    typename W::Reg av[MR];
-    for (int r = 0; r < MR; ++r) av[r] = W::MaskzLoad(m, a + (i + r) * k + kv);
-    for (int jj = 0; jj < 4; ++jj) {
-      const typename W::Reg bv = W::MaskzLoad(m, b + (j + jj) * k + kv);
-      for (int r = 0; r < MR; ++r) acc[r][jj] = W::Fma(av[r], bv, acc[r][jj]);
-    }
-  }
-  for (int r = 0; r < MR; ++r)
-    for (int jj = 0; jj < 4; ++jj)
-      c[(i + r) * n + j + jj] = W::HSum(acc[r][jj]);
-}
-
-template <typename T>
-void GemmNTPanelAvx512(Index i0, Index i1, Index k, Index n, const T* a,
-                       const T* b, T* c) {
-  const Index n4 = n & ~Index{3};
-  Index i = i0;
-  for (; i + 2 <= i1; i += 2) {
-    for (Index j = 0; j < n4; j += 4) NTBlock4<2>(i, j, k, n, a, b, c);
-    for (Index j = n4; j < n; ++j) {
-      c[i * n + j] = VecDot(k, a + i * k, b + j * k);
-      c[(i + 1) * n + j] = VecDot(k, a + (i + 1) * k, b + j * k);
-    }
-  }
-  if (i < i1) {
-    for (Index j = 0; j < n4; j += 4) NTBlock4<1>(i, j, k, n, a, b, c);
-    for (Index j = n4; j < n; ++j)
-      c[i * n + j] = VecDot(k, a + i * k, b + j * k);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Contiguous-range vector ops: full vectors plus one masked tail vector.
-
-template <typename T>
-void AxpyRangeAvx512(Index n, T alpha, const T* x, T* y) {
-  using W = V<T>;
-  const typename W::Reg av = W::Broadcast(alpha);
-  const Index nv = n & ~(W::kW - 1);
-  Index i = 0;
-  for (; i < nv; i += W::kW)
-    W::Store(y + i, W::Fma(av, W::Load(x + i), W::Load(y + i)));
-  if (i < n) {
-    const typename W::Mask m = W::Tail(n - i);
-    W::MaskStore(y + i, m,
-                 W::Fma(av, W::MaskzLoad(m, x + i), W::MaskzLoad(m, y + i)));
-  }
-}
-
-template <typename T>
-void AddScaledRangeAvx512(Index n, const T* x, T alpha, const T* y, T* out) {
-  using W = V<T>;
-  const typename W::Reg av = W::Broadcast(alpha);
-  const Index nv = n & ~(W::kW - 1);
-  Index i = 0;
-  for (; i < nv; i += W::kW)
-    W::Store(out + i, W::Fma(av, W::Load(y + i), W::Load(x + i)));
-  if (i < n) {
-    const typename W::Mask m = W::Tail(n - i);
-    W::MaskStore(out + i, m,
-                 W::Fma(av, W::MaskzLoad(m, y + i), W::MaskzLoad(m, x + i)));
-  }
-}
-
-template <typename T>
-void ScaleRangeAvx512(Index n, T alpha, T* x) {
-  using W = V<T>;
-  const typename W::Reg av = W::Broadcast(alpha);
-  const Index nv = n & ~(W::kW - 1);
-  Index i = 0;
-  for (; i < nv; i += W::kW) W::Store(x + i, W::Mul(av, W::Load(x + i)));
-  if (i < n) {
-    const typename W::Mask m = W::Tail(n - i);
-    W::MaskStore(x + i, m, W::Mul(av, W::MaskzLoad(m, x + i)));
-  }
-}
-
-// Reduction partials over one fixed-grid chunk: two vector accumulator
-// chains combined in a fixed order, then the scalar tail in element order.
-
-template <typename T>
-T SumRangeAvx512(Index n, const T* x) {
-  using W = V<T>;
-  const Index n2 = n & ~(2 * W::kW - 1);
-  typename W::Reg acc0 = W::Zero();
-  typename W::Reg acc1 = W::Zero();
-  Index i = 0;
-  for (; i < n2; i += 2 * W::kW) {
-    acc0 = W::Add(acc0, W::Load(x + i));
-    acc1 = W::Add(acc1, W::Load(x + i + W::kW));
-  }
-  T s = W::HSum(W::Add(acc0, acc1));
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
-template <typename T>
-T DotRangeAvx512(Index n, const T* x, const T* y) {
-  using W = V<T>;
-  const Index n2 = n & ~(2 * W::kW - 1);
-  typename W::Reg acc0 = W::Zero();
-  typename W::Reg acc1 = W::Zero();
-  Index i = 0;
-  for (; i < n2; i += 2 * W::kW) {
-    acc0 = W::Fma(W::Load(x + i), W::Load(y + i), acc0);
-    acc1 = W::Fma(W::Load(x + i + W::kW), W::Load(y + i + W::kW), acc1);
-  }
-  T s = W::HSum(W::Add(acc0, acc1));
-  for (; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Transcendentals: the shared 256-bit functions (see file comment).
-
-void TanhRangeAvx512(Index n, const double* x, double* out) {
-  x86math::MapRangePd<x86math::TanhPd>(n, x, out);
-}
-void SigmoidRangeAvx512(Index n, const double* x, double* out) {
-  x86math::MapRangePd<x86math::SigmoidPd>(n, x, out);
-}
-void ExpRangeAvx512(Index n, const double* x, double* out) {
-  x86math::MapRangePd<x86math::ExpPd>(n, x, out);
-}
-void TanhRangeAvx512F32(Index n, const float* x, float* out) {
-  x86math::MapRangePs<x86math::TanhPs>(n, x, out);
-}
-void SigmoidRangeAvx512F32(Index n, const float* x, float* out) {
-  x86math::MapRangePs<x86math::SigmoidPs>(n, x, out);
-}
-void ExpRangeAvx512F32(Index n, const float* x, float* out) {
-  x86math::MapRangePs<x86math::ExpPs>(n, x, out);
-}
-
-// Batched-row movement: 512-bit copies with a masked tail; bitwise by
-// construction.
-template <typename T>
-inline void CopyRowAvx512(Index cols, const T* s, T* d) {
-  using W = V<T>;
-  Index j = 0;
-  for (; j + W::kW <= cols; j += W::kW) W::Store(d + j, W::Load(s + j));
-  if (j < cols) {
-    const typename W::Mask m = W::Tail(cols - j);
-    W::MaskStore(d + j, m, W::MaskzLoad(m, s + j));
-  }
-}
-
-template <typename T>
-void MaskedRowUpdateRowsAvx512(Index rows, Index cols,
-                               const unsigned char* mask, const T* src,
-                               T* dst) {
-  for (Index r = 0; r < rows; ++r)
-    if (mask[r]) CopyRowAvx512(cols, src + r * cols, dst + r * cols);
-}
-
-template <typename T>
-void SelectRowsRangeAvx512(Index count, Index cols, const Index* rows,
-                           const T* src, T* dst) {
-  for (Index i = 0; i < count; ++i)
-    CopyRowAvx512(cols, src + rows[i] * cols, dst + i * cols);
-}
-
-template <typename T>
-void ScatterRowsRangeAvx512(Index count, Index cols, const Index* rows,
-                            const T* src, T* dst) {
-  for (Index i = 0; i < count; ++i)
-    CopyRowAvx512(cols, src + i * cols, dst + rows[i] * cols);
-}
-
 }  // namespace
 
 constinit const KernelTable<double>  // dtype:ok — per-dtype table
-    kAvx512TableF64 = {
-        GemmPanelAvx512<double>,    // dtype:ok — f64 instantiation
-        GemmTNPanelAvx512<double>,  // dtype:ok
-        GemmNTPanelAvx512<double>,  // dtype:ok
-        AxpyRangeAvx512<double>,    // dtype:ok
-        AddScaledRangeAvx512<double>,  // dtype:ok
-        ScaleRangeAvx512<double>,   // dtype:ok
-        SumRangeAvx512<double>,     // dtype:ok
-        DotRangeAvx512<double>,     // dtype:ok
-        TanhRangeAvx512, SigmoidRangeAvx512, ExpRangeAvx512,
-        MaskedRowUpdateRowsAvx512<double>,  // dtype:ok
-        SelectRowsRangeAvx512<double>,      // dtype:ok
-        ScatterRowsRangeAvx512<double>,     // dtype:ok
-};
-
-constinit const KernelTable<float> kAvx512TableF32 = {
-    GemmPanelAvx512<float>,      GemmTNPanelAvx512<float>,
-    GemmNTPanelAvx512<float>,
-    AxpyRangeAvx512<float>,      AddScaledRangeAvx512<float>,
-    ScaleRangeAvx512<float>,     SumRangeAvx512<float>,
-    DotRangeAvx512<float>,
-    TanhRangeAvx512F32,          SigmoidRangeAvx512F32, ExpRangeAvx512F32,
-    MaskedRowUpdateRowsAvx512<float>,
-    SelectRowsRangeAvx512<float>,
-    ScatterRowsRangeAvx512<float>,
-};
+    kAvx512TableF64 = x86::MakeTable<V<double>>();  // dtype:ok
+constinit const KernelTable<float> kAvx512TableF32 =
+    x86::MakeTable<V<float>>();
 
 }  // namespace diffode::kernels::detail
 

@@ -4,8 +4,10 @@
 #include "tensor/shape.h"
 
 // Internal contract between the kernel dispatch layer (kernels.cc) and the
-// per-ISA backends (kernels_scalar.cc, kernels_avx2.cc, kernels_avx512.cc).
-// Not part of the public kernel API.
+// per-ISA backends: kernels_scalar.cc (portable C++), and kernels_avx2.cc /
+// kernels_avx512.cc, which instantiate the one set of x86 kernel templates
+// in kernels_x86_panels.h over their register traits. Not part of the
+// public kernel API.
 //
 // The split of responsibilities keeps the determinism contract in one place:
 // kernels.cc owns ALL threading — the fixed chunk grids of ParallelFor /

@@ -2,8 +2,8 @@
 #define DIFFODE_TENSOR_KERNELS_X86_MATH_H_
 
 // 256-bit vector transcendentals shared by the x86 SIMD backends
-// (kernels_avx2.cc and kernels_avx512.cc). Only those TUs may include this
-// header: it uses AVX2+FMA intrinsics and must be compiled with the
+// (kernels_avx2.cc and kernels_avx512.cc, through kernels_x86_panels.h).
+// Only those TUs may include this header: it uses AVX2+FMA intrinsics and must be compiled with the
 // corresponding target flags. Keeping one copy means the AVX2 and AVX-512
 // ISAs evaluate exp/tanh/sigmoid with identical arithmetic — the wider ISA
 // only changes the GEMM/vector-op kernels, which is where its speed lives.

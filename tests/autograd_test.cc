@@ -23,14 +23,6 @@ TEST(AutogradTest, AddSubMulGradients) {
   EXPECT_LT(MaxGradError(b, [&] { return ag::Sum(ag::Mul(a, b)); }), kTol);
 }
 
-TEST(AutogradTest, DivGradients) {
-  Rng rng(2);
-  Var a = ag::Param(rng.NormalTensor(Shape{2, 2}));
-  Var b = ag::Param(rng.UniformTensor(Shape{2, 2}, 0.5, 2.0));
-  EXPECT_LT(MaxGradError(a, [&] { return ag::Sum(ag::Div(a, b)); }), kTol);
-  EXPECT_LT(MaxGradError(b, [&] { return ag::Sum(ag::Div(a, b)); }), kTol);
-}
-
 TEST(AutogradTest, ScalarOps) {
   Rng rng(3);
   Var a = ag::Param(rng.NormalTensor(Shape{3, 2}));
@@ -127,12 +119,6 @@ TEST(AutogradTest, NonlinearityGradients) {
 TEST(AutogradTest, ReluGradientAwayFromKink) {
   Var a = ag::Param(Tensor::FromRows(1, 4, {-2.0, -0.5, 0.5, 2.0}));
   EXPECT_LT(MaxGradError(a, [&] { return ag::Sum(ag::Relu(a)); }), kTol);
-}
-
-TEST(AutogradTest, SqrtGradient) {
-  Rng rng(11);
-  Var a = ag::Param(rng.UniformTensor(Shape{2, 3}, 0.5, 3.0));
-  EXPECT_LT(MaxGradError(a, [&] { return ag::Sum(ag::Sqrt(a)); }), kTol);
 }
 
 TEST(AutogradTest, ReductionGradients) {

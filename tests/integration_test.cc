@@ -12,7 +12,6 @@
 #include "core/diffode_model.h"
 #include "data/generators.h"
 #include "data/splits.h"
-#include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "train/trainer.h"
 
@@ -104,34 +103,6 @@ TEST(IntegrationTest, AuxiliaryLossProducedAndCleared) {
   EXPECT_GE(aux.value().item(), 0.0);
   // Taking it clears it.
   EXPECT_FALSE(model.TakeAuxiliaryLoss().defined());
-}
-
-TEST(IntegrationTest, HoyerRegularizerProducesLossAndSharpensAttention) {
-  data::SyntheticPeriodicConfig config;
-  config.num_series = 8;
-  data::Dataset ds = data::MakeSyntheticPeriodic(config);
-  core::DiffOdeConfig mconfig = SmallConfig(1);
-  mconfig.consistency_weight = 0.0;
-  mconfig.hoyer_weight = 1.0;
-  core::DiffOde model(mconfig);
-  const auto& sample = ds.train.front();
-  model.ClassifyLogits(sample);
-  ag::Var aux = model.TakeAuxiliaryLoss();
-  ASSERT_TRUE(aux.defined());
-  const Scalar before = aux.value().item();
-  EXPECT_GT(before, 0.0);  // 1 - Hoyer in (0, 1) for non-degenerate rows
-  EXPECT_LT(before, 1.0);
-  // A few steps of minimizing only the Hoyer term must sharpen attention.
-  nn::Adam opt(model.Params(), 0.05);
-  Scalar last = before;
-  for (int step = 0; step < 10; ++step) {
-    model.ClassifyLogits(sample);
-    ag::Var loss = model.TakeAuxiliaryLoss();
-    last = loss.value().item();
-    loss.Backward();
-    opt.StepAndZero();
-  }
-  EXPECT_LT(last, before);
 }
 
 TEST(IntegrationTest, ConsistencyLossDisabledWhenWeightZero) {

@@ -16,10 +16,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
 #include "tensor/kernels.h"
+#include "tensor/kernels_isa.h"
 #include "tensor/random.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
@@ -122,7 +125,10 @@ struct Tol<float> {
 // Shapes chosen to exercise every microkernel edge: sizes below one vector
 // (f64 and f32 widths), non-multiples of the 8-row / 4-column register
 // blocks, the kc=256 packing boundary of GemmTN, GEMV-like n=1, and empty
-// tensors.
+// tensors. The m = 1 rows reach every single-row column block of each SIMD
+// table (1 to 8 vectors of 4 or 8 lanes on AVX2, 1 to 4 vectors of 8 or 16
+// lanes on AVX-512) and column tails, with k off every lane multiple so
+// GemmNT runs its masked k-tail at both widths.
 struct GemmShape {
   Index m, k, n;
 };
@@ -130,6 +136,8 @@ const GemmShape kGemmShapes[] = {
     {1, 1, 1},   {1, 9, 1},    {3, 5, 2},    {7, 13, 5},   {8, 32, 4},
     {9, 33, 5},  {17, 300, 7}, {31, 64, 1},  {64, 257, 3}, {65, 130, 33},
     {128, 32, 128}, {0, 4, 4}, {4, 0, 4},    {4, 4, 0},
+    {1, 7, 5},   {1, 13, 12},  {1, 21, 29},  {1, 33, 37},  {1, 45, 61},
+    {1, 19, 100}, {1, 11, 130},
 };
 
 template <typename Fn>
@@ -180,6 +188,85 @@ TEST(KernelsIsaTest, GemmFamilyMatchesScalarBackend) {
     CheckGemmFamily<double>(isa);
     CheckGemmFamily<float>(isa);
   }
+}
+
+// Every backend table of dtype T this host can run, with its ISA's name.
+template <typename T>
+std::vector<std::pair<const char*, const detail::KernelTable<T>*>> Tables() {
+  constexpr bool kF32 = std::is_same_v<T, float>;
+  std::vector<std::pair<const char*, const detail::KernelTable<T>*>> tables;
+  if constexpr (kF32)
+    tables.push_back({"scalar", &detail::kScalarTableF32});
+  else
+    tables.push_back({"scalar", &detail::kScalarTableF64});
+#if DIFFODE_HAS_AVX2_BUILD
+  if (simd::IsaSupported(simd::Isa::kAvx2)) {
+    if constexpr (kF32)
+      tables.push_back({"avx2", &detail::kAvx2TableF32});
+    else
+      tables.push_back({"avx2", &detail::kAvx2TableF64});
+  }
+#endif
+#if DIFFODE_HAS_AVX512_BUILD
+  if (simd::IsaSupported(simd::Isa::kAvx512)) {
+    if constexpr (kF32)
+      tables.push_back({"avx512", &detail::kAvx512TableF32});
+    else
+      tables.push_back({"avx512", &detail::kAvx512TableF64});
+  }
+#endif
+  return tables;
+}
+
+// The panel contract of kernels_isa.h, stated directly: c[i][j] never
+// depends on the panel bounds, so the rows [0, m) computed as the two panels
+// [0, s) and [s, m) carry the same bits as one panel, for every split s.
+template <typename T>
+void CheckPanelSplits() {
+  Rng rng(106);
+  for (const auto& [isa, table] : Tables<T>()) {
+    for (const auto& sh : kGemmShapes) {
+      SCOPED_TRACE(::testing::Message() << isa << " m=" << sh.m << " k="
+                                        << sh.k << " n=" << sh.n);
+      const Index m = sh.m, k = sh.k, n = sh.n;
+      TensorT<T> a = rng.NormalTensor(Shape{m, k}).template Cast<T>();
+      TensorT<T> b = rng.NormalTensor(Shape{k, n}).template Cast<T>();
+      TensorT<T> at = rng.NormalTensor(Shape{k, m}).template Cast<T>();
+      TensorT<T> bt = rng.NormalTensor(Shape{n, k}).template Cast<T>();
+      // Each panel variant as f(i0, i1, c) over the same operands.
+      auto nn = [&](Index i0, Index i1, T* c) {
+        table->gemm_panel(i0, i1, k, n, a.data(), b.data(), c);
+      };
+      auto tn = [&](Index i0, Index i1, T* c) {
+        table->gemm_tn_panel(i0, i1, m, k, n, at.data(), b.data(), c);
+      };
+      auto nt = [&](Index i0, Index i1, T* c) {
+        table->gemm_nt_panel(i0, i1, k, n, a.data(), bt.data(), c);
+      };
+      auto check = [&](auto panel, const char* what) {
+        TensorT<T> whole = TensorT<T>::Full(Shape{m, n}, T(7));
+        panel(0, m, whole.data());
+        for (Index s = 0; s <= m; ++s) {
+          TensorT<T> split = TensorT<T>::Full(Shape{m, n}, T(7));
+          panel(0, s, split.data());
+          panel(s, m, split.data());
+          for (Index e = 0; e < m * n; ++e) {
+            const T x = split[e], y = whole[e];
+            ASSERT_EQ(std::memcmp(&x, &y, sizeof(T)), 0)
+                << what << " split at row " << s << " element " << e;
+          }
+        }
+      };
+      check(nn, "gemm_panel");
+      check(tn, "gemm_tn_panel");
+      check(nt, "gemm_nt_panel");
+    }
+  }
+}
+
+TEST(KernelsIsaTest, PanelSplitsNeverChangeBits) {
+  CheckPanelSplits<double>();
+  CheckPanelSplits<float>();
 }
 
 template <typename T>

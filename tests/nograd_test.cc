@@ -66,9 +66,7 @@ core::DiffOdeConfig TinyConfig() {
   config.mlp_hidden = 12;
   config.num_classes = 2;
   config.step = 0.5;
-  // Exercise both aux-loss gates: the consistency anchors (default on) and
-  // the optional Hoyer regularizer.
-  config.hoyer_weight = 0.05;
+  // The consistency anchors (default on) exercise the aux-loss gate.
   return config;
 }
 
