@@ -357,38 +357,9 @@ BENCHMARK(BM_MapExpIsa)
     ->Args({1, 1 << 16})
     ->Args({2, 1 << 16});
 
-// Masked-row movement for the lockstep batched engine: MaskedRowUpdate with
-// a full mask vs a half-empty one (the mask skips the copy, so a sparse wave
-// should be cheaper), and the SelectRows/ScatterRows gather-scatter pair at
-// serving batch shapes (rows = execution batch, cols = packed state dim).
-void BM_MaskedRowUpdateIsa(benchmark::State& state) {
-  BenchIsaScope isa(state);
-  if (!isa.ok) return;
-  const Index rows = state.range(1), cols = state.range(2);
-  const bool full = state.range(3) != 0;
-  Rng rng(25);
-  Tensor src = rng.NormalTensor(Shape{rows, cols});
-  Tensor dst(Shape{rows, cols});
-  std::vector<unsigned char> mask(static_cast<std::size_t>(rows));
-  for (Index r = 0; r < rows; ++r)
-    mask[static_cast<std::size_t>(r)] = full || (r % 2 == 0) ? 1 : 0;
-  for (auto _ : state) {
-    kernels::MaskedRowUpdate(rows, cols, mask.data(), src.data(), dst.data());
-    benchmark::DoNotOptimize(dst);
-  }
-}
-BENCHMARK(BM_MaskedRowUpdateIsa)
-    ->ArgNames({"isa", "rows", "cols", "full"})
-    ->Args({0, 32, 48, 1})     // B=32 serving batch, packed DIFFODE state
-    ->Args({1, 32, 48, 1})
-    ->Args({2, 32, 48, 1})
-    ->Args({0, 32, 48, 0})     // half the rows masked off
-    ->Args({1, 32, 48, 0})
-    ->Args({2, 32, 48, 0})
-    ->Args({0, 256, 128, 1})   // wide reference point
-    ->Args({1, 256, 128, 1})
-    ->Args({2, 256, 128, 1});
-
+// Row movement for the lockstep batched engine: the SelectRows/ScatterRows
+// gather-scatter pair at serving batch shapes (rows = execution batch,
+// cols = packed state dim).
 void BM_SelectScatterRowsIsa(benchmark::State& state) {
   BenchIsaScope isa(state);
   if (!isa.ok) return;

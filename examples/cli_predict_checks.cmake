@@ -1,17 +1,19 @@
-# End-to-end checks of `diffode_cli predict`'s input validation:
+# End-to-end checks of `diffode_cli predict`'s input validation and of its
+# one serving path:
 #
 #   cmake -DCLI=<path/to/diffode_cli> -DWORK=<scratch dir> \
-#         -DCASE=<bad_at|short_series|bad_csv|bad_checkpoint|bad_flags|
-#                 bad_label> \
+#         -DCASE=<bad_at|short_series|bad_csv|repeated_time|bad_checkpoint|
+#                 bad_flags|bad_label|batch_equal> \
 #         -P cli_predict_checks.cmake
 #
 # bad_at:         a non-finite or unparsable --at exits non-zero and names
 #                 the bad item on stderr.
 # short_series:   a series with one observation is named on stderr and
-#                 skipped; the other series are served, on the per-sequence
-#                 and the batched path.
+#                 skipped; the other series are served, at --batch=1 and 4.
 # bad_csv:        a nan/inf time or value cell exits 1 with the line and the
-#                 reason, on the per-sequence and the batched path.
+#                 reason, at --batch=1 and 4.
+# repeated_time:  a series that repeats an observation time exits 1 with
+#                 the line and the reason, at --batch=1 and 4.
 # bad_checkpoint: a checkpoint whose first rank field is corrupt exits 1
 #                 with a reason.
 # bad_flags:      a numeric flag that does not parse, is not finite or is
@@ -20,6 +22,10 @@
 # bad_label:      `train --labels` on a CSV whose class label is at or
 #                 above the class-count cap (4096) exits 1 and names the
 #                 label.
+# batch_equal:    on an f64 checkpoint, `predict --batch=1` and `--batch=4`
+#                 print byte-identical stdout, for DIFFODE (the lockstep
+#                 engine at B = 1 and B = 4) and for ODE-RNN (the
+#                 per-sequence loop).
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -102,6 +108,19 @@ elseif(CASE STREQUAL "bad_csv")
                       "load failed: line 3: non-finite (time|value) cell")
     endforeach()
   endforeach()
+elseif(CASE STREQUAL "repeated_time")
+  # Series 6 observes twice at t = 3.5 (lines 2 and 3 of the appended rows).
+  file(READ "${WORK}/data.csv" content)
+  string(REGEX MATCHALL "\n" newlines "${content}")
+  list(LENGTH newlines rows)
+  math(EXPR line "${rows} + 3")
+  file(APPEND "${WORK}/data.csv" "99,1.0,1.0,,,,\n99,3.5,1.0,,,,\n"
+                                 "99,3.5,,2.0,,,\n")
+  foreach(batch 1 4)
+    run_cli(p ${predict} --at=1.0 --batch=${batch})
+    expect_rejected(p "repeated time --batch=${batch}"
+                    "load failed: line ${line}: repeated time within series 99")
+  endforeach()
 elseif(CASE STREQUAL "bad_checkpoint")
   # Header: magic (8 bytes), count (8), then the first parameter's rank.
   # Eight spaces there read as rank 0x2020202020202020 (above 2^61).
@@ -143,6 +162,31 @@ elseif(CASE STREQUAL "bad_label")
     run_cli(p train --data=bad_label.csv --channels=1 --labels
             --task=classification --epochs=0)
     expect_rejected(p "label ${label}" "bad label ${label}: ")
+  endforeach()
+elseif(CASE STREQUAL "batch_equal")
+  run_cli(fit train --data=data.csv --channels=5 --task=interpolation
+          --model=ODE-RNN --epochs=0 --latent=4 --save=odernn.bin)
+  expect_ok(fit "train ODE-RNN")
+  # Queries before, inside and after the observation windows.
+  foreach(model DIFFODE ODE-RNN)
+    if(model STREQUAL "DIFFODE")
+      set(weights weights.bin)
+    else()
+      set(weights odernn.bin)
+    endif()
+    foreach(batch 1 4)
+      run_cli(p${batch} predict --data=data.csv --channels=5 --latent=4
+              --model=${model} --load=${weights} --at=-3.0,1.0,2.5,40.0
+              --batch=${batch})
+      expect_ok(p${batch} "${model} predict --batch=${batch}")
+    endforeach()
+    if(NOT p1_out MATCHES "series 5:")
+      message(FATAL_ERROR "${model}: not every series served:\n${p1_out}")
+    endif()
+    if(NOT p1_out STREQUAL p4_out)
+      message(FATAL_ERROR "${model}: --batch=1 and --batch=4 differ:\n"
+                          "${p1_out}\n--- vs ---\n${p4_out}")
+    endif()
   endforeach()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")

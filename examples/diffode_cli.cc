@@ -304,7 +304,8 @@ int RunTrain(const Flags& flags) {
 }
 
 // Forward-only serving: reload a checkpoint into a frozen model and predict
-// each series at the requested times, tape-free under NoGradScope.
+// each series at the requested times through core::BatchPredictor,
+// tape-free.
 int RunPredict(const Flags& flags) {
   const std::string path = FlagOr(flags, "data", "");
   const std::string load = FlagOr(flags, "load", "");
@@ -367,33 +368,19 @@ int RunPredict(const Flags& flags) {
     std::printf("\n");
   };
 
-  if (exec_batch > 1 || precision == Precision::kF32) {
-    // Micro-batched serving: up to --batch sequences per lockstep forward.
-    // f32 always takes this path — the float engine lives behind the
-    // batched forwards; the per-sequence Var path below is f64-only.
-    core::BatchPredictor predictor(model.get(), exec_batch);
-    std::vector<std::pair<std::size_t, Index>> requests;
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      if (!servable(i)) continue;
-      requests.emplace_back(i, predictor.Enqueue(series[i], times));
-    }
-    predictor.Flush();
-    for (const auto& [i, id] : requests)
-      print_row(i, predictor.result(id).predictions);
-    return 0;
-  }
-
-  ag::NoGradScope no_grad;
+  // Micro-batched serving: up to --batch sequences per forward, through
+  // DIFFODE's lockstep engine (at either precision) or a baseline's
+  // per-sequence loop. At --batch=1 the engine runs at B = 1, which is
+  // bitwise the per-sequence path.
+  core::BatchPredictor predictor(model.get(), exec_batch);
+  std::vector<std::pair<std::size_t, Index>> requests;
   for (std::size_t i = 0; i < series.size(); ++i) {
     if (!servable(i)) continue;
-    (void)model->TakeAuxiliaryLoss();
-    auto preds = model->PredictAt(series[i], times);
-    (void)model->TakeAuxiliaryLoss();
-    std::vector<Tensor> rows;
-    rows.reserve(preds.size());
-    for (const ag::Var& p : preds) rows.push_back(p.value());
-    print_row(i, rows);
+    requests.emplace_back(i, predictor.Enqueue(series[i], times));
   }
+  predictor.Flush();
+  for (const auto& [i, id] : requests)
+    print_row(i, predictor.result(id).predictions);
   return 0;
 }
 

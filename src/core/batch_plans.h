@@ -3,22 +3,25 @@
 
 #include <vector>
 
-#include "ode/lockstep.h"
+#include "ode/diff_integrator.h"
 
 namespace diffode::core {
 
-// Per-batch lockstep timelines for DIFFODE's batched state evaluation
-// (diffode_lockstep.cc). Timeline construction is always f64 and
-// dtype-free, so both serving precisions integrate the EXACT same (t, h)
-// step grids.
+// The DIFFODE step timeline: the one place that decides which (t, h) steps
+// a sequence's DHS ODE takes from its first observation to each query.
+// Both forwards walk it: the tape forward (DiffOde::StatesAt, at B = 1,
+// through ode::Step) and the lockstep serving
+// engine (diffode_lockstep.cc, through ode::LockstepIntegrate). Timeline
+// construction is always f64 and dtype-free, so every forward and both
+// serving precisions integrate the EXACT same step grids.
 //
-// Each batch row gets a forward plan replicating StatesAt's grid:
-// sorted-unique query times (plus the observation anchors when the
-// consistency term is configured, which change how IntegrateVar partitions
-// each span), a forward chain from t = 0 and — for queries before the first
-// observation — an extra engine row integrating the backward chain from the
-// same initial state. Checkpoints are tagged with the query's index in the
-// row's sorted-unique `slots`.
+// Each batch row's grid is its sorted-unique query times plus, when the
+// consistency term is configured, its observation anchors (which change how
+// each span is stepped: the last step of a span is clamped). The forward
+// plan integrates the grid points t >= 0 from t = 0; queries before the
+// first observation get an extra engine row integrating the points t < 0
+// backward from the same initial state. Checkpoints are tagged with the
+// query's index in the row's sorted-unique `slots`.
 struct BatchPlans {
   // Engine rows: rows [0, b) are the forward chains (engine row r is batch
   // row r); any backward chains follow.
@@ -28,14 +31,23 @@ struct BatchPlans {
   // Per batch row, the sorted-unique query times; checkpoint tags index
   // into this.
   std::vector<std::vector<Scalar>> slots;
+  // Per batch row, each query's index into `slots`, in query order.
+  std::vector<std::vector<Index>> query_slots;
+  // Per batch row, the anchors its forward row reaches, in time order:
+  // `after_steps` is the step count at which the row stands at the anchor,
+  // `tag` the anchor's index in `anchors[r]` (the first of equal times).
+  // They are not checkpoints, so the engine's waves never stop at them; the
+  // tape forward adds its consistency term there.
+  std::vector<std::vector<ode::RowCheckpoint>> anchor_steps;
   // Per batch row, its backward engine row, or -1 when every query is at
   // t >= 0.
   std::vector<Index> back_row;
 };
 
 // `anchors[r]` lists row r's observation anchor times to fold into the step
-// grid (nullptr when the model has no consistency anchoring). `step` is the
-// solver step size.
+// grid, non-decreasing from t >= 0 (the normalized observation times of an
+// IrregularSeries), or is nullptr when the model has no consistency
+// anchoring. `step` is the solver step size.
 BatchPlans BuildBatchPlans(
     const std::vector<std::vector<Scalar>>& norm_queries,
     const std::vector<const std::vector<Scalar>*>& anchors, Scalar step);

@@ -11,9 +11,7 @@ BatchPredictor::BatchPredictor(SequenceModel* model, Index max_batch)
 
 Index BatchPredictor::Enqueue(const data::IrregularSeries& series,
                               std::vector<Scalar> times) {
-  const Index id = static_cast<Index>(results_.size());
-  results_.emplace_back();
-  done_.push_back(false);
+  const Index id = next_id_++;
   pending_.push_back(Pending{id, &series, std::move(times)});
   if (static_cast<Index>(pending_.size()) >= max_batch_) Flush();
   return id;
@@ -31,11 +29,8 @@ void BatchPredictor::Flush() {
     for (const Pending* p : cls) series.push_back(p->series);
     const data::SequenceBatch batch = data::MakeSequenceBatch(series);
     const Tensor logits = dispatch_.ClassifyLogitsBatched(batch);
-    for (std::size_t i = 0; i < cls.size(); ++i) {
-      Result& res = results_[static_cast<std::size_t>(cls[i]->id)];
-      res.logits = logits.Row(static_cast<Index>(i));
-      done_[static_cast<std::size_t>(cls[i]->id)] = true;
-    }
+    for (std::size_t i = 0; i < cls.size(); ++i)
+      results_[cls[i]->id].logits = logits.Row(static_cast<Index>(i));
   }
   if (!reg.empty()) {
     std::vector<const data::IrregularSeries*> series;
@@ -49,21 +44,25 @@ void BatchPredictor::Flush() {
     const data::SequenceBatch batch = data::MakeSequenceBatch(series);
     std::vector<std::vector<Tensor>> preds =
         dispatch_.PredictAtBatched(batch, times);
-    for (std::size_t i = 0; i < reg.size(); ++i) {
-      Result& res = results_[static_cast<std::size_t>(reg[i]->id)];
-      res.predictions = std::move(preds[i]);
-      done_[static_cast<std::size_t>(reg[i]->id)] = true;
-    }
+    for (std::size_t i = 0; i < reg.size(); ++i)
+      results_[reg[i]->id].predictions = std::move(preds[i]);
   }
   pending_.clear();
 }
 
-const BatchPredictor::Result& BatchPredictor::result(Index id) const {
+BatchPredictor::Result BatchPredictor::result(Index id) {
   DIFFODE_CHECK_GE(id, 0);
-  DIFFODE_CHECK_LT(id, static_cast<Index>(results_.size()));
-  DIFFODE_CHECK_MSG(done_[static_cast<std::size_t>(id)],
-                    "BatchPredictor::result before its Flush");
-  return results_[static_cast<std::size_t>(id)];
+  DIFFODE_CHECK_LT(id, next_id_);
+  auto it = results_.find(id);
+  if (it == results_.end()) {
+    for (const Pending& p : pending_)
+      DIFFODE_CHECK_MSG(p.id != id, "BatchPredictor::result before its Flush");
+    DIFFODE_CHECK_MSG(false, "BatchPredictor::result read twice: each result "
+                             "is released when it is read");
+  }
+  Result out = std::move(it->second);
+  results_.erase(it);
+  return out;
 }
 
 }  // namespace diffode::core

@@ -1,6 +1,7 @@
 #ifndef DIFFODE_CORE_BATCH_PREDICTOR_H_
 #define DIFFODE_CORE_BATCH_PREDICTOR_H_
 
+#include <unordered_map>
 #include <vector>
 
 #include "core/batched_model.h"
@@ -15,8 +16,9 @@ namespace diffode::core {
 // flushed as separate sequence batches.
 //
 // Usage: Enqueue() returns a request id; call Flush() (or let the queue
-// auto-flush at max_batch pending requests), then read result(id). Enqueued
-// series must stay alive until the flush.
+// auto-flush at max_batch pending requests), then read result(id) once.
+// Reading a result releases it, so a long-lived predictor holds only the
+// results not yet read. Enqueued series must stay alive until the flush.
 class BatchPredictor {
  public:
   struct Result {
@@ -34,8 +36,9 @@ class BatchPredictor {
   // Serves every pending request in one batched forward per request kind.
   void Flush();
 
-  // Result for a request id; its flush must have happened.
-  const Result& result(Index id) const;
+  // Hands over the result of a request id and frees its slot. Its flush must
+  // have happened, and each id is read once.
+  Result result(Index id);
 
   Index pending() const { return static_cast<Index>(pending_.size()); }
   Index max_batch() const { return max_batch_; }
@@ -52,8 +55,9 @@ class BatchPredictor {
   BatchedDispatch dispatch_;
   Index max_batch_;
   std::vector<Pending> pending_;
-  std::vector<Result> results_;
-  std::vector<bool> done_;
+  Index next_id_ = 0;
+  // Flushed results not yet read, by request id.
+  std::unordered_map<Index, Result> results_;
 };
 
 }  // namespace diffode::core

@@ -10,8 +10,9 @@
 // chunked scratch, phi / f_r / w_r and the HiPPO tail — and the readouts.
 // What stays f64 at both precisions: the DHS factorization
 // (DiffOde::BuildContexts, from the encoded latents widened once per
-// sequence), the step plans (BuildBatchPlans) and the carried state with its
-// stage combines (ode::LockstepIntegrate<T>). The inversion is the
+// sequence), the step plans (BuildBatchPlans, the one timeline the tape
+// forward walks too) and the carried state with its stage combines
+// (ode::LockstepIntegrate<T>). The inversion is the
 // numerically delicate part of DHS and the state accumulate is where
 // rounding compounds; both cost per sequence or per stage, not per GEMM.
 //
@@ -324,7 +325,8 @@ class LockstepEngine {
     const Index sd = m_.StateDim();
     const bool anchored = c_.use_attention && c_.consistency_weight > 0.0;
 
-    // Per-row plans replicating StatesAt's grid (core/batch_plans.h).
+    // The one DIFFODE timeline (core/batch_plans.h), which the tape forward
+    // DiffOde::StatesAt walks too.
     std::vector<const std::vector<Scalar>*> anchors(
         static_cast<std::size_t>(b), nullptr);
     if (anchored)
@@ -411,14 +413,10 @@ class LockstepEngine {
 
     std::vector<std::vector<TensorT<T>>> out(static_cast<std::size_t>(b));
     for (Index r = 0; r < b; ++r) {
-      const std::vector<Scalar>& sl = bp.slots[static_cast<std::size_t>(r)];
       auto& dst = out[static_cast<std::size_t>(r)];
-      dst.reserve(norm_queries[static_cast<std::size_t>(r)].size());
-      for (Scalar t : norm_queries[static_cast<std::size_t>(r)]) {
-        const auto it = std::lower_bound(sl.begin(), sl.end(), t);
+      for (Index slot : bp.query_slots[static_cast<std::size_t>(r)])
         dst.push_back(slot_states[static_cast<std::size_t>(r)]
-                                 [static_cast<std::size_t>(it - sl.begin())]);
-      }
+                                 [static_cast<std::size_t>(slot)]);
     }
     return out;
   }

@@ -1,9 +1,8 @@
 #include "core/diffode_model.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
+#include "core/batch_plans.h"
 #include "data/encoding.h"
 #include "hippo/hippo.h"
 
@@ -198,94 +197,82 @@ ag::Var DiffOde::ReadoutInput(const Encoded& enc, const ag::Var& state) const {
       {ag::SliceCols(state, 0, d), ag::SliceCols(state, d + dc, dr)});
 }
 
+ag::Var DiffOde::ConsistencyTerm(const Encoded& enc, const ag::Var& y,
+                                 Index obs) const {
+  const Index d = config_.latent_dim;
+  const Index dh = d / config_.num_heads;
+  ag::Var s_cur =
+      config_.head == OutputHead::kDirect ? y : ag::SliceCols(y, 0, d);
+  ag::Var zq = ag::SliceRows(enc.z, obs, 1);
+  std::vector<ag::Var> anchor_heads;
+  for (Index hidx = 0; hidx < config_.num_heads; ++hidx) {
+    ag::Var zq_h =
+        config_.num_heads == 1 ? zq : ag::SliceCols(zq, hidx * dh, dh);
+    anchor_heads.push_back(
+        DhsForward(enc.heads[static_cast<std::size_t>(hidx)], zq_h));
+  }
+  ag::Var anchor = config_.num_heads == 1 ? anchor_heads[0]
+                                          : ag::ConcatCols(anchor_heads);
+  return ag::Mean(ag::Square(ag::Sub(s_cur, anchor)));
+}
+
 std::vector<ag::Var> DiffOde::StatesAt(
     const Encoded& enc, const std::vector<Scalar>& norm_times) const {
   ode::DiffOdeFunc f = Dynamics(enc);
-  ode::DiffSolveOptions options;
-  options.method = diff_method_;
-  options.step = config_.step;
   ag::Var y0 = InitialState(enc);
+  // The consistency MSE pulls S(t_i) toward its Eq. 5 definition at every
+  // observation time. The term itself is a training-only loss, but the
+  // anchor times it folds into the grid change how each span is stepped (the
+  // last step is clamped to the remaining distance). Keep the anchors in the
+  // grid in every mode and gate only the term, so no-grad forwards stay
+  // bitwise identical to grad-on forwards.
   const bool anchored =
       config_.use_attention && config_.consistency_weight > 0.0;
-  // The consistency MSE itself is a training-only loss term, but the anchor
-  // times it inserts into the grid change how IntegrateVar partitions each
-  // span (the last step is clamped to the remaining distance). Keep the grid
-  // insertion active in every mode and gate only the term computation, so
-  // no-grad forwards stay bitwise identical to grad-on forwards.
   const bool anchor_terms = anchored && ag::GradMode::IsEnabled();
-  // Sort unique query times; integrate a forward chain for t >= 0 and a
-  // backward chain for t < 0 (queries before the first observation). When
-  // the consistency term is on, the forward chain also visits every
-  // observation time so S(t_i) can be pulled toward its Eq. 5 definition.
-  std::map<Scalar, ag::Var> cache;
-  std::vector<Scalar> sorted = norm_times;
-  std::set<Scalar> anchor_times;
-  if (anchored) {
-    for (Scalar t : enc.norm_times) anchor_times.insert(t);
-    sorted.insert(sorted.end(), enc.norm_times.begin(), enc.norm_times.end());
-  }
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  // Forward chain.
-  {
-    Scalar t_prev = 0.0;
+  // The engine's timeline at B = 1 (core/batch_plans.h).
+  const BatchPlans bp = BuildBatchPlans(
+      {norm_times}, {anchored ? &enc.norm_times : nullptr}, config_.step);
+  std::vector<ag::Var> at_slot(bp.slots[0].size());
+  ag::Var anchor_acc;
+  // Walks one engine row on the tape. At each step count, and after the
+  // last step, it stores the state of every checkpoint due there in its
+  // query slot and adds the consistency term of every anchor due there.
+  const auto walk = [&](const ode::RowPlan& plan,
+                        const std::vector<ode::RowCheckpoint>& anchors) {
     ag::Var y = y0;
-    ag::Var anchor_acc;
-    Index anchor_count = 0;
-    const Index d = config_.latent_dim;
-    const Index dh = d / config_.num_heads;
-    for (Scalar t : sorted) {
-      if (t < 0.0) continue;
-      y = ode::IntegrateVar(f, y, t_prev, t, options);
-      cache[t] = y;
-      t_prev = t;
-      if (anchor_terms && anchor_times.count(t)) {
-        // Index of this observation in the context.
-        const auto it = std::find(enc.norm_times.begin(),
-                                  enc.norm_times.end(), t);
-        const Index obs =
-            static_cast<Index>(it - enc.norm_times.begin());
-        ag::Var s_cur = config_.head == OutputHead::kDirect
-                            ? y
-                            : ag::SliceCols(y, 0, d);
-        ag::Var zq = ag::SliceRows(enc.z, obs, 1);
-        std::vector<ag::Var> anchor_heads;
-        for (Index hidx = 0; hidx < config_.num_heads; ++hidx) {
-          ag::Var zq_h = config_.num_heads == 1
-                             ? zq
-                             : ag::SliceCols(zq, hidx * dh, dh);
-          anchor_heads.push_back(
-              DhsForward(enc.heads[static_cast<std::size_t>(hidx)], zq_h));
-        }
-        ag::Var anchor = config_.num_heads == 1 ? anchor_heads[0]
-                                                : ag::ConcatCols(anchor_heads);
-        ag::Var term = ag::Mean(ag::Square(ag::Sub(s_cur, anchor)));
+    std::size_t next = 0;
+    std::size_t next_anchor = 0;
+    for (std::size_t done = 0;; ++done) {
+      const Index due = static_cast<Index>(done);
+      for (; next < plan.checkpoints.size() &&
+             plan.checkpoints[next].after_steps == due;
+           ++next)
+        at_slot[static_cast<std::size_t>(plan.checkpoints[next].tag)] = y;
+      for (; next_anchor < anchors.size() &&
+             anchors[next_anchor].after_steps == due;
+           ++next_anchor) {
+        ag::Var term = ConsistencyTerm(enc, y, anchors[next_anchor].tag);
         anchor_acc = anchor_acc.defined() ? ag::Add(anchor_acc, term) : term;
-        ++anchor_count;
       }
+      if (done == plan.steps.size()) return;
+      y = ode::Step(f, diff_method_, plan.steps[done].t, y,
+                    plan.steps[done].h);
     }
-    if (anchor_terms && anchor_count > 0) {
-      ag::Var scaled = ag::MulScalar(
-          anchor_acc,
-          config_.consistency_weight / static_cast<Scalar>(anchor_count));
-      AddAuxiliaryLoss(scaled);
-    }
+  };
+  const std::vector<ode::RowCheckpoint>& anchors = bp.anchor_steps[0];
+  const std::vector<ode::RowCheckpoint> no_anchors;
+  walk(bp.plans[0], anchor_terms ? anchors : no_anchors);
+  if (anchor_acc.defined()) {
+    AddAuxiliaryLoss(ag::MulScalar(
+        anchor_acc,
+        config_.consistency_weight / static_cast<Scalar>(anchors.size())));
   }
-  // Backward chain.
-  {
-    Scalar t_prev = 0.0;
-    ag::Var y = y0;
-    for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
-      const Scalar t = *it;
-      if (t >= 0.0) continue;
-      y = ode::IntegrateVar(f, y, t_prev, t, options);
-      cache[t] = y;
-      t_prev = t;
-    }
-  }
+  if (bp.back_row[0] >= 0)
+    walk(bp.plans[static_cast<std::size_t>(bp.back_row[0])], no_anchors);
   std::vector<ag::Var> out;
   out.reserve(norm_times.size());
-  for (Scalar t : norm_times) out.push_back(cache.at(t));
+  for (Index slot : bp.query_slots[0])
+    out.push_back(at_slot[static_cast<std::size_t>(slot)]);
   return out;
 }
 

@@ -109,10 +109,16 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   ode::DiffOdeFunc Dynamics(const Encoded& enc) const;
   // Readout input ([S | r], S, or [z̄ | r] depending on config).
   ag::Var ReadoutInput(const Encoded& enc, const ag::Var& state) const;
-  // States at the given (normalized, may be unsorted) times; integrates
-  // forward and backward from the first observation as needed.
+  // States at the given (normalized, may be unsorted) times: walks the B = 1
+  // timeline of BuildBatchPlans on the tape, forward and backward from the
+  // first observation as needed, and adds the consistency term at the
+  // observation anchors when grad is on.
   std::vector<ag::Var> StatesAt(const Encoded& enc,
                                 const std::vector<Scalar>& norm_times) const;
+  // The consistency term at observation `obs`: the MSE between the state's
+  // S part and the forward DHS S(t_obs) of Eq. 5.
+  ag::Var ConsistencyTerm(const Encoded& enc, const ag::Var& y,
+                          Index obs) const;
 
   Index StateDim() const;
   Index ReadoutDim() const;

@@ -117,10 +117,12 @@ std::vector<IrregularSeries> LoadCsv(const std::string& path,
         id_to_slot.try_emplace(cells[0], rows_by_series.size());
     if (inserted) rows_by_series.emplace_back();
     auto& rows = rows_by_series[it->second];
-    if (!rows.empty() && row.time < rows.back().time) {
+    if (!rows.empty() && row.time <= rows.back().time) {
       if (error)
         *error = "line " + std::to_string(line_no) +
-                 ": time goes backwards within series " + cells[0];
+                 (row.time < rows.back().time ? ": time goes backwards"
+                                              : ": repeated time") +
+                 " within series " + cells[0];
       return {};
     }
     rows.push_back(std::move(row));

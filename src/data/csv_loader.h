@@ -12,8 +12,9 @@ namespace diffode::data {
 //
 //   series_id,time,<channel_1>,...,<channel_f>[,label]
 //
-// * rows of one series must appear with non-decreasing time (rows with
-//   equal ids are grouped; ids need not be contiguous in the file),
+// * rows of one series must appear with strictly increasing time, the
+//   IrregularSeries contract (rows with equal ids are grouped; ids need not
+//   be contiguous in the file),
 // * time and value cells must be finite; empty channel cells mean "not
 //   observed" (mask 0),
 // * the optional trailing `label` column (a non-negative integer, constant

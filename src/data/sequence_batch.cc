@@ -4,6 +4,15 @@
 
 namespace diffode::data {
 
+Index SequenceBatch::union_size() const {
+  std::vector<Scalar> times;
+  for (const IrregularSeries* s : series)
+    times.insert(times.end(), s->times.begin(), s->times.end());
+  std::sort(times.begin(), times.end());
+  return static_cast<Index>(std::unique(times.begin(), times.end()) -
+                            times.begin());
+}
+
 SequenceBatch MakeSequenceBatch(std::vector<const IrregularSeries*> series) {
   SequenceBatch out;
   DIFFODE_CHECK(!series.empty());
@@ -21,51 +30,6 @@ SequenceBatch MakeSequenceBatch(std::vector<const IrregularSeries*> series) {
     out.max_len = std::max(out.max_len, s->length());
   }
   out.series = std::move(series);
-
-  // Padded per-row views.
-  const Index b = out.batch;
-  const Index f = out.features;
-  const Index ml = out.max_len;
-  out.values = Tensor(Shape{b * ml, f});
-  out.mask = Tensor(Shape{b * ml, f});
-  out.row_mask.assign(static_cast<std::size_t>(b * ml), 0);
-  for (Index r = 0; r < b; ++r) {
-    const IrregularSeries& s = *out.series[static_cast<std::size_t>(r)];
-    const Index n = s.length();
-    std::copy_n(s.values.data(), n * f, out.values.data() + r * ml * f);
-    std::copy_n(s.mask.data(), n * f, out.mask.data() + r * ml * f);
-    std::fill_n(out.row_mask.begin() + static_cast<std::size_t>(r * ml),
-                static_cast<std::size_t>(n), static_cast<unsigned char>(1));
-  }
-
-  // Union grid: merged sorted-unique raw times + membership bitmaps. Each
-  // sequence's times are strictly increasing, so a single pointer walk per
-  // sequence maps observations onto union points.
-  for (const IrregularSeries* s : out.series)
-    out.union_times.insert(out.union_times.end(), s->times.begin(),
-                           s->times.end());
-  std::sort(out.union_times.begin(), out.union_times.end());
-  out.union_times.erase(
-      std::unique(out.union_times.begin(), out.union_times.end()),
-      out.union_times.end());
-
-  const Index u_count = out.union_size();
-  out.words_per_point = (b + 63) / 64;
-  out.membership.assign(
-      static_cast<std::size_t>(u_count * out.words_per_point), 0);
-  out.obs_index.assign(static_cast<std::size_t>(u_count * b), -1);
-  for (Index r = 0; r < b; ++r) {
-    const IrregularSeries& s = *out.series[static_cast<std::size_t>(r)];
-    Index u = 0;
-    for (Index i = 0; i < s.length(); ++i) {
-      const Scalar t = s.times[static_cast<std::size_t>(i)];
-      while (out.union_times[static_cast<std::size_t>(u)] < t) ++u;
-      out.membership[static_cast<std::size_t>(u * out.words_per_point +
-                                              r / 64)] |= 1ull << (r % 64);
-      out.obs_index[static_cast<std::size_t>(u * b + r)] = i;
-      ++u;
-    }
-  }
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef DIFFODE_DATA_SEQUENCE_BATCH_H_
 #define DIFFODE_DATA_SEQUENCE_BATCH_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "data/irregular_series.h"
@@ -9,20 +8,10 @@
 namespace diffode::data {
 
 // A batch view over B irregular series for lockstep execution
-// (core/batched_model.h): padded per-row observation tensors plus the merged
-// (union) observation grid with per-sequence membership bitmaps. The view
-// only copies/indexes — it never normalizes or transforms values, so every
-// number a model reads through it is bitwise the number in the source series.
-//
-// Padded layout: observation i of sequence r lives at row r * max_len + i of
-// `values` / `mask`; `row_mask[r * max_len + i]` is 1 iff that slot holds a
-// real observation (0 rows are zero padding).
-//
-// Union grid: `union_times` is the sorted union of the raw observation times
-// of all B series. For union point u, `IsMember(u, r)` says whether sequence
-// r observes at that time and `ObsIndex(u, r)` gives the observation index
-// into sequence r (-1 when absent). Membership is stored as bitmaps, one
-// 64-bit word per 64 rows.
+// (core/batched_model.h): the series themselves plus their shapes. The view
+// never copies, normalizes or transforms values, so every number a model
+// reads through it is bitwise the number in the source series. Each model's
+// engine builds its own per-row timelines from the series.
 struct SequenceBatch {
   std::vector<const IrregularSeries*> series;
 
@@ -31,26 +20,9 @@ struct SequenceBatch {
   Index max_len = 0;
   std::vector<Index> lengths;
 
-  Tensor values;                       // (B * max_len) x f, zero padded
-  Tensor mask;                         // (B * max_len) x f, zero padded
-  std::vector<unsigned char> row_mask; // B * max_len
-
-  std::vector<Scalar> union_times;      // sorted, unique
-  std::vector<std::uint64_t> membership; // U * words_per_point
-  Index words_per_point = 0;
-  std::vector<Index> obs_index;         // U * B, -1 when absent
-
-  Index union_size() const { return static_cast<Index>(union_times.size()); }
-
-  bool IsMember(Index u, Index r) const {
-    const std::uint64_t word =
-        membership[static_cast<std::size_t>(u * words_per_point + r / 64)];
-    return (word >> (r % 64)) & 1u;
-  }
-
-  Index ObsIndex(Index u, Index r) const {
-    return obs_index[static_cast<std::size_t>(u * batch + r)];
-  }
+  // Number of distinct raw observation times across the batch, computed on
+  // call: the stops a shared union-grid integration would make.
+  Index union_size() const;
 };
 
 // Builds the batch view. Requires a non-empty list of non-empty series with

@@ -31,21 +31,35 @@ ag::Var Rk4Step(const DiffOdeFunc& f, Scalar t, const ag::Var& y, Scalar h) {
 
 }  // namespace
 
+ag::Var Step(const DiffOdeFunc& f, DiffMethod method, Scalar t,
+             const ag::Var& y, Scalar h) {
+  switch (method) {
+    case DiffMethod::kEuler:
+      return EulerStep(f, t, y, h);
+    case DiffMethod::kMidpoint:
+      return MidpointStep(f, t, y, h);
+    case DiffMethod::kRk4:
+      break;
+  }
+  return Rk4Step(f, t, y, h);
+}
+
+void AppendSegment(RowPlan* plan, Scalar t0, Scalar t1, Scalar step) {
+  ForEachStep(t0, t1, step, [plan](Scalar t, Scalar h) {
+    plan->steps.push_back(RowStep{t, h});
+  });
+}
+
+void AppendCheckpoint(RowPlan* plan, Index tag) {
+  plan->checkpoints.push_back(
+      RowCheckpoint{static_cast<Index>(plan->steps.size()), tag});
+}
+
 ag::Var IntegrateVar(const DiffOdeFunc& f, ag::Var y0, Scalar t0, Scalar t1,
                      const DiffSolveOptions& options) {
   ag::Var y = std::move(y0);
   ForEachStep(t0, t1, options.step, [&](Scalar t, Scalar h) {
-    switch (options.method) {
-      case DiffMethod::kEuler:
-        y = EulerStep(f, t, y, h);
-        break;
-      case DiffMethod::kMidpoint:
-        y = MidpointStep(f, t, y, h);
-        break;
-      case DiffMethod::kRk4:
-        y = Rk4Step(f, t, y, h);
-        break;
-    }
+    y = Step(f, options.method, t, y, h);
   });
   return y;
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "autograd/variable.h"
 
@@ -24,8 +25,8 @@ struct DiffSolveOptions {
 
 // The fixed step grid from t0 to t1: calls fn(t, h) for each step, in
 // order. The last step is clamped to land on t1; t1 < t0 steps backward.
-// IntegrateVar and ode::AppendSegment both walk this grid, so a lockstep
-// plan replays the per-sequence unroll's (t, h) sequence bit for bit.
+// IntegrateVar and AppendSegment both walk this grid, so a plan replays the
+// interval unroll's (t, h) sequence bit for bit.
 // Inline and allocation-free: IntegrateVar is on the training hot path.
 template <typename Fn>
 inline void ForEachStep(Scalar t0, Scalar t1, Scalar step, Fn&& fn) {
@@ -40,6 +41,43 @@ inline void ForEachStep(Scalar t0, Scalar t1, Scalar step, Fn&& fn) {
     t += h;
   }
 }
+
+// One integration step of a row: advance from local time t by h.
+struct RowStep {
+  Scalar t;
+  Scalar h;
+};
+
+// A point in a row's timeline where the caller intervenes: an observation
+// jump (mutates the row) or a readout (records it). Fires after the row has
+// completed `after_steps` steps, before it takes the next one.
+struct RowCheckpoint {
+  Index after_steps;
+  Index tag;  // caller-defined (e.g. observation or query index)
+};
+
+// Precomputed per-row integration timeline, walked step for step through
+// Step on the tape (DiffOde::StatesAt) and by ode::LockstepIntegrate
+// (batched, ode/lockstep.h).
+struct RowPlan {
+  std::vector<RowStep> steps;
+  std::vector<RowCheckpoint> checkpoints;  // non-decreasing after_steps
+};
+
+// Appends the steps IntegrateVar(f, y, t0, t1, {method, step}) takes: both
+// walk ForEachStep's grid, so the (t, h) sequences are the same values.
+// Supports both directions (t1 < t0 steps backward).
+void AppendSegment(RowPlan* plan, Scalar t0, Scalar t1, Scalar step);
+
+// Appends a checkpoint at the row's current end of timeline.
+void AppendCheckpoint(RowPlan* plan, Index tag);
+
+// One `method` step of the tape from (t, y) by h: the step body both
+// IntegrateVar and a plan walk (DiffOde::StatesAt) take, so a walk of the
+// steps AppendSegment(t0, t1) appended records the nodes IntegrateVar(f, y0,
+// t0, t1) records, in the same order.
+ag::Var Step(const DiffOdeFunc& f, DiffMethod method, Scalar t,
+             const ag::Var& y, Scalar h);
 
 // Integrates from (t0, y0) to t1, building the tape as it goes; the result
 // is differentiable w.r.t. y0 and any parameters used inside f.

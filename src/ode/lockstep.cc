@@ -6,17 +6,6 @@
 
 namespace diffode::ode {
 
-void AppendSegment(RowPlan* plan, Scalar t0, Scalar t1, Scalar step) {
-  ForEachStep(t0, t1, step, [plan](Scalar t, Scalar h) {
-    plan->steps.push_back(RowStep{t, h});
-  });
-}
-
-void AppendCheckpoint(RowPlan* plan, Index tag) {
-  plan->checkpoints.push_back(
-      RowCheckpoint{static_cast<Index>(plan->steps.size()), tag});
-}
-
 template <typename T>
 void LockstepIntegrate(const std::vector<RowPlan>& plans, DiffMethod method,
                        const BatchedRhsT<T>& rhs,

@@ -11,43 +11,16 @@
 // B x d state matrix, advanced together so the RHS sees B x d operands (the
 // GEMM regime where the SIMD backend pays) instead of B separate 1 x d rows.
 //
-// Equivalence contract. Each row follows its OWN precomputed step timeline —
-// the exact (t, h) sequence IntegrateVar would produce for that sequence
-// (AppendSegment and IntegrateVar walk one step grid, ode::ForEachStep).
+// Equivalence contract. Each row follows its OWN precomputed step timeline
+// (RowPlan, ode/diff_integrator.h) — the exact (t, h) sequence IntegrateVar
+// would produce for that sequence (AppendSegment and IntegrateVar walk one
+// step grid, ode::ForEachStep).
 // The engine batches only across rows; it never inserts another row's time
 // as a stop point. Per-row stage updates use the same expressions as the
 // per-sequence unroll, and row packing/unpacking is a pure copy, so a row's
 // trajectory differs from its per-sequence run only through the RHS
 // (tests/batched_equiv_test.cc states the DIFFODE engine's bounds).
 namespace diffode::ode {
-
-// One integration step of a row: advance from local time t by h.
-struct RowStep {
-  Scalar t;
-  Scalar h;
-};
-
-// A point in a row's timeline where the caller intervenes: an observation
-// jump (mutates the row) or a readout (records it). Fires after the row has
-// completed `after_steps` steps, before it takes the next one.
-struct RowCheckpoint {
-  Index after_steps;
-  Index tag;  // caller-defined (e.g. observation or query index)
-};
-
-// Precomputed per-row integration timeline.
-struct RowPlan {
-  std::vector<RowStep> steps;
-  std::vector<RowCheckpoint> checkpoints;  // non-decreasing after_steps
-};
-
-// Appends the steps IntegrateVar(f, y, t0, t1, {method, step}) takes: both
-// walk ForEachStep's grid, so the (t, h) sequences are the same values.
-// Supports both directions (t1 < t0 steps backward).
-void AppendSegment(RowPlan* plan, Scalar t0, Scalar t1, Scalar step);
-
-// Appends a checkpoint at the row's current end of timeline.
-void AppendCheckpoint(RowPlan* plan, Index tag);
 
 // RHS over the packed active rows. `rows[i]` is the batch row stored at row i
 // of `y_active` (a x d); `t[i]` is that row's current stage time. Returns the

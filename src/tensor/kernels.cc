@@ -183,12 +183,6 @@ void MapExp(Index n, const T* x, T* out) {
 }
 
 template <typename T>
-void MaskedRowUpdate(Index rows, Index cols, const unsigned char* mask,
-                     const T* src, T* dst) {
-  Table<T>()->masked_row_update(rows, cols, mask, src, dst);
-}
-
-template <typename T>
 void SelectRows(Index count, Index cols, const Index* rows, const T* src,
                 T* dst) {
   Table<T>()->select_rows(count, cols, rows, src, dst);
@@ -213,8 +207,6 @@ void ScatterRows(Index count, Index cols, const Index* rows, const T* src,
   template void MapTanh<T>(Index, const T*, T*);                              \
   template void MapSigmoid<T>(Index, const T*, T*);                           \
   template void MapExp<T>(Index, const T*, T*);                               \
-  template void MaskedRowUpdate<T>(Index, Index, const unsigned char*,        \
-                                   const T*, T*);                             \
   template void SelectRows<T>(Index, Index, const Index*, const T*, T*);      \
   template void ScatterRows<T>(Index, Index, const Index*, const T*, T*)
 

@@ -96,15 +96,10 @@ template <typename T>
 void MapExp(Index n, const T* x, T* out);
 
 // Batched-row movement for the lockstep execution engine (docs/performance.md
-// "Execution batching"). All three are pure row copies — no arithmetic — so
+// "Execution batching"). Both are pure row copies — no arithmetic — so
 // every backend produces bitwise-identical results; the SIMD backends only
 // widen the moves. Serial: a serving batch is at most a few hundred rows.
 //
-// dst[r] = src[r] for every row whose mask byte is non-zero (a masked jump
-// costs a row copy, not a branch per element); masked-off rows untouched.
-template <typename T>
-void MaskedRowUpdate(Index rows, Index cols, const unsigned char* mask,
-                     const T* src, T* dst);
 // dst[i] = src[rows[i]]: gather `count` rows of a (· x cols) matrix into a
 // packed (count x cols) block.
 template <typename T>

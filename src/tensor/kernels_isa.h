@@ -61,9 +61,6 @@ struct KernelTable {
   void (*exp)(Index n, const T* x, T* out);
 
   // Batched-row movement (serial; pure copies, so bitwise on any backend).
-  // dst[r] = src[r] for rows whose mask byte is non-zero; others untouched.
-  void (*masked_row_update)(Index rows, Index cols, const unsigned char* mask,
-                            const T* src, T* dst);
   // dst[i] = src[rows[i]] — gather `count` rows into a packed block.
   void (*select_rows)(Index count, Index cols, const Index* rows, const T* src,
                       T* dst);

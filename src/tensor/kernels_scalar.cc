@@ -185,17 +185,6 @@ void ExpRange(Index n, const T* x, T* out) {
 // Batched-row movement. Pure copies (no arithmetic), so every backend is
 // bitwise identical by construction; the SIMD versions only widen the moves.
 template <typename T>
-void MaskedRowUpdateRows(Index rows, Index cols, const unsigned char* mask,
-                         const T* src, T* dst) {
-  for (Index r = 0; r < rows; ++r) {
-    if (!mask[r]) continue;
-    const T* s = src + r * cols;
-    T* d = dst + r * cols;
-    for (Index j = 0; j < cols; ++j) d[j] = s[j];
-  }
-}
-
-template <typename T>
 void SelectRowsRange(Index count, Index cols, const Index* rows, const T* src,
                      T* dst) {
   for (Index i = 0; i < count; ++i) {
@@ -222,8 +211,7 @@ constexpr KernelTable<T> MakeScalarTable() {
       AxpyRange<T>,      AddScaledRange<T>,
       ScaleRange<T>,     SumRange<T>,    DotRange<T>,
       TanhRange<T>,      SigmoidRange<T>,
-      ExpRange<T>,       MaskedRowUpdateRows<T>,
-      SelectRowsRange<T>,
+      ExpRange<T>,       SelectRowsRange<T>,
       ScatterRowsRange<T>,
   };
 }

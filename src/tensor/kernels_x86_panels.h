@@ -345,13 +345,6 @@ inline void CopyRow(Index cols, const T* s, T* d) {
 }
 
 template <typename W, typename T = typename W::T>
-void MaskedRowUpdateRows(Index rows, Index cols, const unsigned char* mask,
-                         const T* src, T* dst) {
-  for (Index r = 0; r < rows; ++r)
-    if (mask[r]) CopyRow<W>(cols, src + r * cols, dst + r * cols);
-}
-
-template <typename W, typename T = typename W::T>
 void SelectRows(Index count, Index cols, const Index* rows, const T* src,
                 T* dst) {
   for (Index i = 0; i < count; ++i)
@@ -382,7 +375,6 @@ constexpr KernelTable<typename W::T> MakeTable() {
           MapRange<W, TanhPd, TanhPs>,
           MapRange<W, SigmoidPd, SigmoidPs>,
           MapRange<W, ExpPd, ExpPs>,
-          MaskedRowUpdateRows<W>,
           SelectRows<W>,
           ScatterRows<W>};
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -188,41 +189,31 @@ void CheckModel(core::SequenceModel* model, Index b, std::uint64_t seed,
   }
 }
 
-TEST(SequenceBatchTest, UnionGridAndPaddingInvariants) {
+TEST(SequenceBatchTest, ViewsTheSeriesAndCountsTheirUnionTimes) {
   const std::vector<data::IrregularSeries> series = MakeBatchSeries(5, 11);
   std::vector<const data::IrregularSeries*> ptrs;
   for (const auto& s : series) ptrs.push_back(&s);
   const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
   ASSERT_EQ(batch.batch, 5);
-  // Union grid is sorted-unique and covers every observation exactly once.
-  for (Index u = 1; u < batch.union_size(); ++u)
-    EXPECT_LT(batch.union_times[static_cast<std::size_t>(u - 1)],
-              batch.union_times[static_cast<std::size_t>(u)]);
+  EXPECT_EQ(batch.features, 2);
+  EXPECT_EQ(batch.series, ptrs);
+  Index max_len = 0;
+  std::vector<Scalar> all_times;
   for (Index r = 0; r < batch.batch; ++r) {
     const data::IrregularSeries& s = *ptrs[static_cast<std::size_t>(r)];
-    Index seen = 0;
-    for (Index u = 0; u < batch.union_size(); ++u) {
-      if (!batch.IsMember(u, r)) {
-        EXPECT_EQ(batch.ObsIndex(u, r), -1);
-        continue;
-      }
-      const Index i = batch.ObsIndex(u, r);
-      EXPECT_EQ(s.times[static_cast<std::size_t>(i)],
-                batch.union_times[static_cast<std::size_t>(u)]);
-      ++seen;
-      // Padded row view holds the same numbers as the source series.
-      for (Index j = 0; j < batch.features; ++j) {
-        EXPECT_EQ(batch.values.at(r * batch.max_len + i, j), s.values.at(i, j));
-        EXPECT_EQ(batch.mask.at(r * batch.max_len + i, j), s.mask.at(i, j));
-      }
-      EXPECT_EQ(batch.row_mask[static_cast<std::size_t>(r * batch.max_len + i)],
-                1);
-    }
-    EXPECT_EQ(seen, s.length());
-    for (Index i = s.length(); i < batch.max_len; ++i)
-      EXPECT_EQ(batch.row_mask[static_cast<std::size_t>(r * batch.max_len + i)],
-                0);
+    EXPECT_EQ(batch.lengths[static_cast<std::size_t>(r)], s.length());
+    max_len = std::max(max_len, s.length());
+    all_times.insert(all_times.end(), s.times.begin(), s.times.end());
   }
+  EXPECT_EQ(batch.max_len, max_len);
+  std::sort(all_times.begin(), all_times.end());
+  all_times.erase(std::unique(all_times.begin(), all_times.end()),
+                  all_times.end());
+  EXPECT_EQ(batch.union_size(), static_cast<Index>(all_times.size()));
+  // Two rows over one series share every time point.
+  const data::SequenceBatch twice =
+      data::MakeSequenceBatch({ptrs[0], ptrs[0]});
+  EXPECT_EQ(twice.union_size(), ptrs[0]->length());
 }
 
 TEST(BatchedEquivTest, DiffOdeMatchesPerSequence) {
@@ -371,11 +362,27 @@ TEST(BatchPredictorTest, MicroBatchesMixedRequests) {
   for (std::size_t i = 0; i < reg_ids.size(); ++i) {
     const std::vector<ag::Var> ref =
         model.PredictAt(series[2 * i + 1], reg_times[i]);
-    const auto& got = predictor.result(reg_ids[i]).predictions;
+    const std::vector<Tensor> got = predictor.result(reg_ids[i]).predictions;
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t k = 0; k < ref.size(); ++k)
       ExpectClose(got[k], ref[k].value(), "served prediction");
   }
+}
+
+TEST(BatchPredictorTest, ResultIsReleasedWhenRead) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::DiffOde model(SmallConfig());
+  const std::vector<data::IrregularSeries> series = MakeBatchSeries(2, 60);
+  core::BatchPredictor predictor(&model, /*max_batch=*/4);
+  const Index first = predictor.Enqueue(series[0], {series[0].times.back()});
+  const Index second = predictor.Enqueue(series[1]);
+  EXPECT_DEATH((void)predictor.result(first), "before its Flush");
+  predictor.Flush();
+  const core::BatchPredictor::Result got = predictor.result(first);
+  ASSERT_EQ(got.predictions.size(), 1u);
+  EXPECT_EQ(predictor.result(second).logits.rows(), 1);
+  EXPECT_DEATH((void)predictor.result(first), "read twice");
+  EXPECT_DEATH((void)predictor.result(second), "read twice");
 }
 
 }  // namespace

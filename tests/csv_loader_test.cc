@@ -89,6 +89,18 @@ void ExpectRejectedOnLine2(const std::string& content, bool has_label,
   std::remove(path.c_str());
 }
 
+TEST(CsvLoaderTest, RejectsRepeatedTime) {
+  ExpectRejectedOnLine2("s,1.0,1.0\ns,1.0,2.0\n", false,
+                        "repeated time within series s");
+  // Other series may share the time.
+  const std::string path = WriteTemp("shared_time.csv",
+                                     "s,1.0,1.0\n"
+                                     "u,1.0,2.0\n");
+  std::string error;
+  EXPECT_EQ(LoadCsv(path, 1, false, &error).size(), 2u) << error;
+  std::remove(path.c_str());
+}
+
 TEST(CsvLoaderTest, RejectsNonFiniteTime) {
   for (const char* t : {"nan", "inf", "-inf", "1e999"})
     ExpectRejectedOnLine2("s,0.0,1.0\ns," + std::string(t) + ",2.0\n",
