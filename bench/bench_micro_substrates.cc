@@ -15,6 +15,7 @@
 #include "core/dhs.h"
 #include "core/parallel.h"
 #include "linalg/pinv.h"
+#include "nn/gru.h"
 #include "sparsity/pt_solver.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
@@ -482,6 +483,28 @@ void BM_DiffOdeRhsNode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiffOdeRhsNode);
+
+// One GRU encoder pass as training runs it: GruCell::Scan over a 48-step
+// context (the tape node, forward) and its BPTT backward, at the perfbench
+// encoder sizes (in = 2f + 2 = 12, H = 16), on a warm arena and buffer pool.
+void BM_GruScanNode(benchmark::State& state) {
+  const Index n = 48, in = 12, hidden = 16;
+  Rng rng(30);
+  nn::GruCell cell(in, hidden, rng);
+  const Tensor x = rng.NormalTensor(Shape{n, in});
+  const Tensor seed = rng.NormalTensor(Shape{n, hidden});
+  for (auto _ : state) {
+    ag::TapeArena::Scope arena_scope;
+    tensor::BufferPool::Scope pool_scope;
+    {
+      ag::Var states = cell.Scan(ag::Constant(x), cell.InitialState(1));
+      states.Backward(seed);
+      benchmark::DoNotOptimize(states.value().data());
+    }
+    ag::TapeArena::ThreadLocal().Reset();
+  }
+}
+BENCHMARK(BM_GruScanNode);
 
 // The lockstep engine's per-wave RHS at B = 32: DiffOdeRhs over 32 rows (one
 // shared context), forward only. Divide by 32 for the per-row cost.

@@ -21,7 +21,8 @@
 #                 flag (predict, plus train and generate cases).
 # bad_label:      `train --labels` on a CSV whose class label is at or
 #                 above the class-count cap (4096) exits 1 and names the
-#                 label.
+#                 label; one whose label changes within a series exits 1
+#                 with the line and both labels.
 # batch_equal:    on an f64 checkpoint, `predict --batch=1` and `--batch=4`
 #                 print byte-identical stdout, for DIFFODE (the lockstep
 #                 engine at B = 1 and B = 4) and for ODE-RNN (the
@@ -156,13 +157,20 @@ elseif(CASE STREQUAL "bad_label")
   expect_ok(gen "generate synthetic")
   file(READ "${WORK}/labeled.csv" content)
   foreach(label 4096 900000000000)
-    # The last row's label column.
-    string(REGEX REPLACE ",[0-9]+\n$" ",${label}\n" bad "${content}")
+    # Every row's label column: a series carries one label, and a row that
+    # disagrees with its series is rejected for that before the cap.
+    string(REGEX REPLACE ",[0-9]+\n" ",${label}\n" bad "${content}")
     file(WRITE "${WORK}/bad_label.csv" "${bad}")
     run_cli(p train --data=bad_label.csv --channels=1 --labels
             --task=classification --epochs=0)
     expect_rejected(p "label ${label}" "bad label ${label}: ")
   endforeach()
+  # A label that changes within a series: only the last row's.
+  string(REGEX REPLACE ",[0-9]+\n$" ",7\n" mixed "${content}")
+  file(WRITE "${WORK}/mixed_label.csv" "${mixed}")
+  run_cli(p train --data=mixed_label.csv --channels=1 --labels
+          --task=classification --epochs=0)
+  expect_rejected(p "mixed label" "line [0-9]+: label 7 differs from label")
 elseif(CASE STREQUAL "batch_equal")
   run_cli(fit train --data=data.csv --channels=5 --task=interpolation
           --model=ODE-RNN --epochs=0 --latent=4 --save=odernn.bin)

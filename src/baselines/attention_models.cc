@@ -119,16 +119,9 @@ ContiFormerBaseline::ContiFormerBaseline(const BaselineConfig& config)
 ContiFormerBaseline::Keys ContiFormerBaseline::BuildKeys(
     const data::IrregularSeries& context) const {
   data::EncoderInputs enc = data::BuildEncoderInputs(context);
-  ag::Var x = ag::Constant(enc.inputs);
-  ag::Var h = encoder_->InitialState(1);
-  std::vector<ag::Var> rows;
-  rows.reserve(static_cast<std::size_t>(context.length()));
-  for (Index i = 0; i < context.length(); ++i) {
-    h = encoder_->Forward(ag::SliceRows(x, i, 1), h);
-    rows.push_back(h);
-  }
   Keys keys;
-  keys.latents = ag::ConcatRows(rows);
+  keys.latents =
+      encoder_->Scan(ag::Constant(enc.inputs), encoder_->InitialState(1));
   keys.key_proj = ag::Tanh(key_proj_->Forward(keys.latents));
   keys.norm_times = enc.norm_times;
   keys.t_scale = enc.t_scale;

@@ -27,11 +27,9 @@ ag::Var GruBaseline::RunToEnd(const data::IrregularSeries& context,
   data::EncoderInputs enc = data::BuildEncoderInputs(context);
   if (t_scale) *t_scale = enc.t_scale;
   if (t_offset) *t_offset = enc.t_offset;
-  ag::Var x = ag::Constant(enc.inputs);
-  ag::Var h = cell_->InitialState(1);
-  for (Index i = 0; i < context.length(); ++i)
-    h = cell_->Forward(ag::SliceRows(x, i, 1), h);
-  return h;
+  const ag::Var states =
+      cell_->Scan(ag::Constant(enc.inputs), cell_->InitialState(1));
+  return ag::SliceRows(states, context.length() - 1, 1);
 }
 
 ag::Var GruBaseline::ClassifyLogits(const data::IrregularSeries& context) {

@@ -1,5 +1,8 @@
 #include "baselines/latent_ode.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "autograd/ops.h"
 #include "data/encoding.h"
 #include "ode/diff_integrator.h"
@@ -30,13 +33,17 @@ LatentOdeBaseline::LatentOdeBaseline(const BaselineConfig& config)
 LatentOdeBaseline::Encoded LatentOdeBaseline::Encode(
     const data::IrregularSeries& context) const {
   data::EncoderInputs enc = data::BuildEncoderInputs(context);
-  ag::Var x = ag::Constant(enc.inputs);
-  ag::Var h = encoder_->InitialState(1);
   // Backward pass (latest observation first), as in the original model.
-  for (Index i = context.length() - 1; i >= 0; --i)
-    h = encoder_->Forward(ag::SliceRows(x, i, 1), h);
+  const Index n = context.length();
+  const Index cols = enc.inputs.cols();
+  Tensor reversed = Tensor::Uninit(enc.inputs.shape());
+  for (Index i = 0; i < n; ++i)
+    std::copy_n(enc.inputs.data() + (n - 1 - i) * cols, cols,
+                reversed.data() + i * cols);
+  const ag::Var states = encoder_->Scan(ag::Constant(std::move(reversed)),
+                                        encoder_->InitialState(1));
   Encoded out;
-  out.z0 = to_latent_->Forward(h);
+  out.z0 = to_latent_->Forward(ag::SliceRows(states, n - 1, 1));
   out.t_scale = enc.t_scale;
   out.t_offset = enc.t_offset;
   return out;

@@ -75,15 +75,8 @@ DiffOde::Encoded DiffOde::Encode(const data::IrregularSeries& context) const {
   enc.t_offset = encoded.t_offset;
   enc.norm_times = encoded.norm_times;
   if (gru_encoder_) {
-    ag::Var h = gru_encoder_->InitialState(1);
-    std::vector<ag::Var> rows;
-    rows.reserve(static_cast<std::size_t>(n));
-    ag::Var x_all = ag::Constant(inputs);
-    for (Index i = 0; i < n; ++i) {
-      h = gru_encoder_->Forward(ag::SliceRows(x_all, i, 1), h);
-      rows.push_back(h);
-    }
-    enc.z = ag::ConcatRows(rows);
+    enc.z = gru_encoder_->Scan(ag::Constant(inputs),
+                               gru_encoder_->InitialState(1));
   } else {
     enc.z = mlp_encoder_->Forward(ag::Constant(inputs));
   }

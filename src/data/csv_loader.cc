@@ -125,6 +125,15 @@ std::vector<IrregularSeries> LoadCsv(const std::string& path,
                  " within series " + cells[0];
       return {};
     }
+    // A series carries one label (IrregularSeries::label).
+    if (has_label && !rows.empty() && row.label != rows.front().label) {
+      if (error)
+        *error = "line " + std::to_string(line_no) + ": label " +
+                 std::to_string(row.label) + " differs from label " +
+                 std::to_string(rows.front().label) + " of series " +
+                 cells[0];
+      return {};
+    }
     rows.push_back(std::move(row));
   }
   std::vector<IrregularSeries> out;
@@ -141,8 +150,8 @@ std::vector<IrregularSeries> LoadCsv(const std::string& path,
         s.values.at(i, c) = row.values[static_cast<std::size_t>(c)];
         s.mask.at(i, c) = row.mask[static_cast<std::size_t>(c)];
       }
-      s.label = row.label;
     }
+    s.label = rows.front().label;
     out.push_back(std::move(s));
   }
   return out;

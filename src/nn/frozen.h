@@ -85,9 +85,8 @@ struct FrozenMlp {
   }
 };
 
-// GRU cell mirror of nn::GruCell::Forward (PyTorch gate convention):
-//   r = sigmoid(xg_r + hg_r), u = sigmoid(xg_u + hg_u),
-//   c = tanh(xg_c + r * hg_c), h' = c + u * (h - c).
+// GRU cell mirror of one nn::GruCell step: the two gate GEMMs, then the
+// gate body both share (GruGateRow, nn/gru.h) per row.
 template <typename T>
 struct FrozenGru {
   Index hidden = 0;
@@ -109,23 +108,11 @@ struct FrozenGru {
     const TensorT<T> xg = x_gates.Forward(x);  // b x 3H
     const TensorT<T> hg = h_gates.Forward(h);  // b x 3H
     TensorT<T> out = TensorT<T>::Uninit(Shape{bsz, H});
-    TensorT<T> gate = TensorT<T>::Uninit(Shape{1, H});
-    for (Index i = 0; i < bsz; ++i) {
-      const T* xr = xg.data() + i * 3 * H;
-      const T* hr = hg.data() + i * 3 * H;
-      const T* hv = h.data() + i * H;
-      T* o = out.data() + i * H;
-      T* g = gate.data();
-      // r, then c's recurrent half r * hg_c staged in `o` so one pass of
-      // tanh/sigmoid kernels per gate keeps the arithmetic order fixed.
-      for (Index j = 0; j < H; ++j) g[j] = xr[j] + hr[j];
-      kernels::MapSigmoid(H, g, g);  // g = r
-      for (Index j = 0; j < H; ++j) o[j] = xr[2 * H + j] + g[j] * hr[2 * H + j];
-      kernels::MapTanh(H, o, o);  // o = c
-      for (Index j = 0; j < H; ++j) g[j] = xr[H + j] + hr[H + j];
-      kernels::MapSigmoid(H, g, g);  // g = u
-      for (Index j = 0; j < H; ++j) o[j] = o[j] + g[j] * (hv[j] - o[j]);
-    }
+    TensorT<T> gates = TensorT<T>::Uninit(Shape{1, 3 * H});  // r, u, c
+    T* g = gates.data();
+    for (Index i = 0; i < bsz; ++i)
+      GruGateRow(H, xg.data() + i * 3 * H, hg.data() + i * 3 * H,
+                 h.data() + i * H, g, g + H, g + 2 * H, out.data() + i * H);
     return out;
   }
 };

@@ -11,6 +11,7 @@
 #include "core/parallel.h"
 #include "data/generators.h"
 #include "data/sequence_batch.h"
+#include "nn/gru.h"
 #include "tensor/buffer_pool.h"
 #include "train/trainer.h"
 
@@ -162,6 +163,56 @@ TEST(AllocStatsTest, SteadyStateTrainingHasZeroPoolMisses) {
   EXPECT_GT(d.pool_hits + d.depot_hits, 0u);  // the pool actually served
   EXPECT_GT(d.arena_nodes, 0u);               // tapes came from the arena
   parallel::ThreadPool::SetNumThreads(prev_threads);
+}
+
+// A whole GRU recurrence is one tape node, whatever its length, and its
+// saved gates are arena bytes, not heap nodes.
+TEST(AllocStatsTest, GruScanIsOneArenaNode) {
+  Rng rng(9);
+  nn::GruCell cell(12, 16, rng);
+  for (Index n : {5, 50}) {
+    {
+      ag::TapeArena::Scope arena_scope;
+      const ag::Var x = ag::Constant(rng.NormalTensor(Shape{n, 12}));
+      const ag::Var h0 = cell.InitialState(1);
+      const AllocStats::Snapshot before = AllocStats::Read();
+      const ag::Var states = cell.Scan(x, h0);
+      const AllocStats::Snapshot d =
+          AllocStats::Delta(before, AllocStats::Read());
+      EXPECT_EQ(d.arena_nodes, 1u) << "n = " << n;
+      EXPECT_EQ(d.heap_nodes, 0u) << "n = " << n;
+      EXPECT_EQ(states.rows(), n);
+    }
+    ag::TapeArena::ThreadLocal().Reset();
+  }
+}
+
+// One DIFFODE training shard on a fixed series, as the trainer runs it
+// (arena and pool scopes, forward, loss, backward): every tape node and
+// every fused node's record comes from the arena.
+TEST(AllocStatsTest, DiffOdeTrainingShardHasNoHeapNodes) {
+  data::Dataset ds = TinyDataset();
+  core::DiffOde model(TinyConfig());
+  const data::IrregularSeries& series = ds.train.front();
+  const std::vector<Scalar> times = {series.times.front(),
+                                     series.times.back()};
+  AllocStats::Snapshot d;
+  {
+    ag::TapeArena::Scope arena_scope;
+    tensor::BufferPool::Scope pool_scope;
+    const AllocStats::Snapshot before = AllocStats::Read();
+    {
+      std::vector<ag::Var> preds = model.PredictAt(series, times);
+      ag::Var loss = ag::Sum(ag::Square(ag::ConcatRows(preds)));
+      const ag::Var aux = model.TakeAuxiliaryLoss();
+      if (aux.defined()) loss = ag::Add(loss, aux);
+      loss.Backward();
+    }
+    d = AllocStats::Delta(before, AllocStats::Read());
+  }
+  ag::TapeArena::ThreadLocal().Reset();
+  EXPECT_EQ(d.heap_nodes, 0u);
+  EXPECT_GT(d.arena_nodes, 0u);
 }
 
 struct TrainOutcome {

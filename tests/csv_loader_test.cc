@@ -125,6 +125,22 @@ TEST(CsvLoaderTest, RejectsLabelThatIsNotANonNegativeInteger) {
                           true, "label is not a non-negative integer");
 }
 
+TEST(CsvLoaderTest, RejectsLabelThatChangesWithinSeries) {
+  ExpectRejectedOnLine2("s,0.0,1.0,0\ns,1.0,2.0,1\n", true,
+                        "label 1 differs from label 0 of series s");
+  // Each series may carry its own label.
+  const std::string path = WriteTemp("two_labels.csv",
+                                     "s,0.0,1.0,0\n"
+                                     "u,0.0,2.0,1\n"
+                                     "s,1.0,3.0,0\n");
+  std::string error;
+  auto series = LoadCsv(path, 1, true, &error);
+  ASSERT_EQ(series.size(), 2u) << error;
+  EXPECT_EQ(series[0].label, 0);
+  EXPECT_EQ(series[1].label, 1);
+  std::remove(path.c_str());
+}
+
 TEST(CsvLoaderTest, MissingFileReportsError) {
   std::string error;
   auto series = LoadCsv("/nonexistent/nowhere.csv", 1, false, &error);
@@ -170,8 +186,19 @@ TEST(CsvLoaderTest, RoundTripPreservesLabels) {
   std::string error;
   auto loaded = LoadCsv(path, 1, /*has_label=*/true, &error);
   ASSERT_EQ(loaded.size(), ds.train.size()) << error;
-  for (std::size_t k = 0; k < loaded.size(); ++k)
+  // One label per series: the file loads, bit for bit (SaveCsv writes 17
+  // significant digits, so every double round-trips exactly).
+  for (std::size_t k = 0; k < loaded.size(); ++k) {
     EXPECT_EQ(loaded[k].label, ds.train[k].label);
+    EXPECT_EQ(loaded[k].times, ds.train[k].times);
+    ASSERT_EQ(loaded[k].values.shape(), ds.train[k].values.shape());
+    for (Index i = 0; i < loaded[k].values.numel(); ++i) {
+      EXPECT_EQ(loaded[k].mask[i], ds.train[k].mask[i]);
+      if (loaded[k].mask[i] > 0) {
+        EXPECT_EQ(loaded[k].values[i], ds.train[k].values[i]);
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "autograd/arena.h"
 #include "autograd/ops.h"
 #include "gradcheck.h"
 #include "nn/gru.h"
@@ -96,6 +101,160 @@ TEST(GruCellTest, GradientsReachBothWeightSets) {
   loss.Backward();
   for (auto& p : cell.Params()) EXPECT_GT(p.grad().MaxAbs(), 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// GruCell's recurrence node against the op chain it replaced.
+// ---------------------------------------------------------------------------
+
+// The op chain GruCell::Forward built per step before the recurrence became
+// one tape node, kept here as the reference: two MatMul + AddRowVec pairs,
+// six SliceCols, three Add, two Sigmoid, a Tanh, two Mul and a Sub.
+ag::Var ChainStep(const GruCell& cell, const ag::Var& x, const ag::Var& h) {
+  const Index H = cell.hidden_size();
+  ag::Var xg = cell.x_gates().Forward(x);
+  ag::Var hg = cell.h_gates().Forward(h);
+  ag::Var r = ag::Sigmoid(
+      ag::Add(ag::SliceCols(xg, 0, H), ag::SliceCols(hg, 0, H)));
+  ag::Var u = ag::Sigmoid(
+      ag::Add(ag::SliceCols(xg, H, H), ag::SliceCols(hg, H, H)));
+  ag::Var c = ag::Tanh(ag::Add(ag::SliceCols(xg, 2 * H, H),
+                               ag::Mul(r, ag::SliceCols(hg, 2 * H, H))));
+  return ag::Add(c, ag::Mul(u, ag::Sub(h, c)));
+}
+
+// The chain over T = x.rows() / B steps, rows laid out as GruCell::Scan's.
+ag::Var ChainScan(const GruCell& cell, const ag::Var& x, const ag::Var& h0) {
+  const Index b = h0.rows();
+  ag::Var h = h0;
+  std::vector<ag::Var> states;
+  for (Index t = 0; t < x.rows() / b; ++t) {
+    h = ChainStep(cell, ag::SliceRows(x, t * b, b), h);
+    states.push_back(h);
+  }
+  return ag::ConcatRows(states);
+}
+
+// One recurrence case: T steps of B sequences, h0 constant or trainable.
+struct GruCase {
+  Index steps, rows;
+  bool h0_param;
+};
+
+class GruScanTest : public ::testing::TestWithParam<GruCase> {
+ protected:
+  static constexpr Index kIn = 5;
+  static constexpr Index kHidden = 11;  // a vector body plus a tail
+
+  GruScanTest() : rng_(40), cell_(kIn, kHidden, rng_) {
+    const GruCase& p = GetParam();
+    const Index m = p.steps * p.rows;
+    x_ = ag::Param(rng_.NormalTensor(Shape{m, kIn}));
+    const Tensor h0 = rng_.NormalTensor(Shape{p.rows, kHidden}, 0.0, 0.5);
+    h0_ = p.h0_param ? ag::Param(h0) : ag::Constant(h0);
+    seed_ = rng_.NormalTensor(Shape{m, kHidden});
+    // Non-zero biases, so their gradients and the bias adds are exercised.
+    for (auto& p : cell_.Params())
+      if (p.rows() == 1) p.mutable_value() = rng_.NormalTensor(p.shape());
+  }
+
+  // Every trainable input the node reads: x, h0 if trainable, the weights.
+  std::vector<ag::Var> Leaves() const {
+    std::vector<ag::Var> out{x_};
+    if (GetParam().h0_param) out.push_back(h0_);
+    for (const auto& p : cell_.Params()) out.push_back(p);
+    return out;
+  }
+
+  // Forward through `scan`, backward from <states, seed>, and the gradient
+  // of every leaf (read before the next call zeroes them).
+  template <typename Scan>
+  std::pair<Tensor, std::vector<Tensor>> Run(Scan scan) {
+    for (auto& l : Leaves()) l.ZeroGrad();
+    ag::Var states = scan();
+    ag::Sum(ag::Mul(states, ag::Constant(seed_))).Backward();
+    std::vector<Tensor> grads;
+    for (auto& l : Leaves()) grads.push_back(l.grad());
+    return {states.value(), grads};
+  }
+
+  Rng rng_;
+  GruCell cell_;
+  ag::Var x_, h0_;
+  Tensor seed_;
+};
+
+void ExpectBitwise(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  for (Index i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]) << "at " << i;
+}
+
+TEST_P(GruScanTest, ValueIsBitwiseTheChain) {
+  ExpectBitwise(cell_.Scan(x_, h0_).value(),
+                ChainScan(cell_, x_, h0_).value());
+}
+
+TEST_P(GruScanTest, GradientsMatchTheChain) {
+  const auto node = Run([&] { return cell_.Scan(x_, h0_); });
+  const auto chain = Run([&] { return ChainScan(cell_, x_, h0_); });
+  ExpectBitwise(node.first, chain.first);
+  ASSERT_EQ(node.second.size(), chain.second.size());
+  for (std::size_t k = 0; k < node.second.size(); ++k) {
+    const Tensor& g = node.second[k];
+    const Tensor& ref = chain.second[k];
+    ASSERT_EQ(g.shape(), ref.shape());
+    EXPECT_GT(ref.MaxAbs(), 0.0) << "leaf " << k;
+    for (Index i = 0; i < g.numel(); ++i)
+      EXPECT_LE(std::fabs(g[i] - ref[i]),
+                1e-12 * std::max(1.0, std::fabs(ref[i])))
+          << "leaf " << k << " at " << i;
+  }
+}
+
+TEST_P(GruScanTest, GradCheck) {
+  for (auto& leaf : Leaves()) {
+    EXPECT_LT(testing::MaxGradError(leaf,
+                                    [&] {
+                                      return ag::Sum(
+                                          ag::Mul(cell_.Scan(x_, h0_),
+                                                  ag::Constant(seed_)));
+                                    }),
+              1e-6);
+  }
+}
+
+TEST_P(GruScanTest, ArenaRecordIsBitwiseTheHeapRecord) {
+  ASSERT_EQ(ag::TapeArena::Active(), nullptr);
+  const auto heap = Run([&] { return cell_.Scan(x_, h0_); });
+  std::pair<Tensor, std::vector<Tensor>> arena;
+  {
+    ag::TapeArena::Scope scope;
+    ASSERT_NE(ag::TapeArena::Active(), nullptr);
+    arena = Run([&] { return cell_.Scan(x_, h0_); });
+  }
+  ag::TapeArena::ThreadLocal().Reset();
+  ExpectBitwise(arena.first, heap.first);
+  ASSERT_EQ(arena.second.size(), heap.second.size());
+  for (std::size_t k = 0; k < heap.second.size(); ++k)
+    ExpectBitwise(arena.second[k], heap.second[k]);
+}
+
+TEST_P(GruScanTest, NoGradIsValueOnlyAndBitwise) {
+  const Tensor with_grad = cell_.Scan(x_, h0_).value();
+  ag::NoGradScope no_grad;
+  const ag::Var out = cell_.Scan(x_, h0_);
+  EXPECT_EQ(out.node(), nullptr);
+  ExpectBitwise(out.value(), with_grad);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GruScanTest,
+    ::testing::Values(GruCase{1, 3, false}, GruCase{1, 3, true},
+                      GruCase{48, 1, false}, GruCase{48, 1, true}),
+    [](const ::testing::TestParamInfo<GruCase>& info) {
+      return "T" + std::to_string(info.param.steps) + "B" +
+             std::to_string(info.param.rows) +
+             (info.param.h0_param ? "TrainableH0" : "ConstantH0");
+    });
 
 // ---------------------------------------------------------------------------
 // Optimizers: each must minimize a simple convex quadratic.
