@@ -8,6 +8,9 @@
 #   SKIP_ASAN=1 scripts/check.sh   # skip the AddressSanitizer leg
 #   SKIP_UBSAN=1 scripts/check.sh  # skip the UBSan leg
 #
+# Every build and ctest call runs $(nproc) jobs: a bare -j puts no cap on
+# the job count, which can exhaust the memory of a shared host.
+#
 # The determinism contract (docs/performance.md) makes DIFFODE_NUM_THREADS=1
 # and =4 produce bitwise-identical results, so running both configurations is
 # a regression gate, not a flake source. The same holds per kernel ISA:
@@ -58,7 +61,7 @@ fi
 
 echo "== tier-1: configure + build =="
 cmake -B build -S . > /dev/null
-cmake --build build -j > /dev/null
+cmake --build build -j"$(nproc)" > /dev/null
 
 echo "== tier-1: zero-warning build (-Werror) =="
 # A clean build of src/, tests/, bench/ and examples/ prints no compiler
@@ -66,17 +69,17 @@ echo "== tier-1: zero-warning build (-Werror) =="
 # directory of its own with -Werror: a TU that warns gets no object file,
 # so a rerun compiles it again and fails again.
 cmake -B build-werror -S . -DCMAKE_CXX_FLAGS=-Werror > /dev/null
-cmake --build build-werror -j > /dev/null
+cmake --build build-werror -j"$(nproc)" > /dev/null
 
 echo "== tier-1: ctest, DIFFODE_NUM_THREADS=1 =="
 # This leg and the next run the whole suite on the serial and the parallel
 # schedule; among it, the no-grad forward path (nograd_test,
 # serialize_roundtrip_test) must hold its bitwise-equivalence and
 # zero-allocation contracts on both.
-(cd build && DIFFODE_NUM_THREADS=1 ctest --output-on-failure -j)
+(cd build && DIFFODE_NUM_THREADS=1 ctest --output-on-failure -j"$(nproc)")
 
 echo "== tier-1: ctest, default thread count =="
-(cd build && ctest --output-on-failure -j)
+(cd build && ctest --output-on-failure -j"$(nproc)")
 
 echo "== tier-1: ctest, DIFFODE_KERNEL_ISA=scalar =="
 # Forces the portable scalar kernel backend through the runtime dispatcher;
@@ -86,13 +89,13 @@ echo "== tier-1: ctest, DIFFODE_KERNEL_ISA=scalar =="
 # itself; this leg pins the dispatcher) and the f32 tier's accuracy and
 # round-trip contracts on the scalar f32 kernels a non-AVX2 serving host
 # runs (precision_test, serialize_roundtrip_test, kernels_isa_test).
-(cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure -j)
+(cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure -j"$(nproc)")
 
 echo "== tier-1: ctest, DIFFODE_KERNEL_ISA=avx2 =="
 # The SIMD fallback on CPUs without AVX-512 F+DQ. Where AVX-512 is present the
 # default legs above run it; without AVX2 the dispatcher warns and falls
 # back to scalar, so the leg is portable.
-(cd build && DIFFODE_KERNEL_ISA=avx2 ctest --output-on-failure -j)
+(cd build && DIFFODE_KERNEL_ISA=avx2 ctest --output-on-failure -j"$(nproc)")
 
 echo "== perfbench: summarizer unit tests =="
 PYTHONDONTWRITEBYTECODE=1 python3 perfbench/test_summary.py
@@ -114,12 +117,12 @@ done
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tsan: configure + build (-DDIFFODE_SANITIZE=thread) =="
   cmake -B build-tsan -S . -DDIFFODE_SANITIZE=thread > /dev/null
-  cmake --build build-tsan -j \
+  cmake --build build-tsan -j"$(nproc)" \
     --target kernels_test trainer_test tensor_test autograd_test \
              alloc_stats_test nograd_test > /dev/null
 
   echo "== tsan: threading-relevant tests, DIFFODE_NUM_THREADS=4 =="
-  (cd build-tsan && DIFFODE_NUM_THREADS=4 ctest --output-on-failure \
+  (cd build-tsan && DIFFODE_NUM_THREADS=4 ctest --output-on-failure -j"$(nproc)" \
     -R 'kernels_test|trainer_test|tensor_test|autograd_test|alloc_stats_test|nograd_test')
 fi
 
@@ -129,7 +132,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # ever touched after its arena was Reset or its block rebucketed.
   echo "== asan: configure + build (-DDIFFODE_SANITIZE=address) =="
   cmake -B build-asan -S . -DDIFFODE_SANITIZE=address > /dev/null
-  cmake --build build-asan -j > /dev/null
+  cmake --build build-asan -j"$(nproc)" > /dev/null
 
   echo "== asan: full suite =="
   # Among it, two gates of their own:
@@ -145,7 +148,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   #   outside its chunk slice, no cached stage buffer may be read after the
   #   active-row count changed, and no packed block, checkpoint row or
   #   pooled buffer may outlive its storage.
-  (cd build-asan && ctest --output-on-failure -j)
+  (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 fi
 
 if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
@@ -156,13 +159,13 @@ if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
   # fallback see identical coverage.
   echo "== ubsan: configure + build (-DDIFFODE_SANITIZE=undefined) =="
   cmake -B build-ubsan -S . -DDIFFODE_SANITIZE=undefined > /dev/null
-  cmake --build build-ubsan -j > /dev/null
+  cmake --build build-ubsan -j"$(nproc)" > /dev/null
 
   echo "== ubsan: full suite (dispatched ISA) =="
-  (cd build-ubsan && ctest --output-on-failure -j)
+  (cd build-ubsan && ctest --output-on-failure -j"$(nproc)")
 
   echo "== ubsan: full suite, DIFFODE_KERNEL_ISA=scalar =="
-  (cd build-ubsan && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure -j)
+  (cd build-ubsan && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure -j"$(nproc)")
 fi
 
 echo "== check.sh: all green =="

@@ -14,7 +14,6 @@ BatchPlans BuildBatchPlans(
   for (Index r = 0; r < b; ++r) out.orig_of_row.push_back(r);
   out.slots.resize(static_cast<std::size_t>(b));
   out.query_slots.resize(static_cast<std::size_t>(b));
-  out.anchor_steps.resize(static_cast<std::size_t>(b));
   out.back_row.assign(static_cast<std::size_t>(b), -1);
 
   std::vector<Scalar> grid;
@@ -46,21 +45,12 @@ BatchPlans BuildBatchPlans(
     grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
     {
       ode::RowPlan& plan = out.plans[static_cast<std::size_t>(r)];
-      auto& reached = out.anchor_steps[static_cast<std::size_t>(r)];
-      std::size_t next = 0;  // the first anchor the row has not passed
       Scalar t_prev = 0.0;
       for (Scalar t : grid) {
         if (t < 0.0) continue;
         ode::AppendSegment(&plan, t_prev, t, step);
         const Index slot = slot_of(t);
         if (slot >= 0) ode::AppendCheckpoint(&plan, slot);
-        if (anchor != nullptr) {
-          while (next < anchor->size() && (*anchor)[next] < t) ++next;
-          if (next < anchor->size() && (*anchor)[next] == t)
-            reached.push_back(ode::RowCheckpoint{
-                static_cast<Index>(plan.steps.size()),
-                static_cast<Index>(next)});
-        }
         t_prev = t;
       }
     }

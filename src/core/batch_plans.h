@@ -17,11 +17,13 @@ namespace diffode::core {
 //
 // Each batch row's grid is its sorted-unique query times plus, when the
 // consistency term is configured, its observation anchors (which change how
-// each span is stepped: the last step of a span is clamped). The forward
-// plan integrates the grid points t >= 0 from t = 0; queries before the
-// first observation get an extra engine row integrating the points t < 0
-// backward from the same initial state. Checkpoints are tagged with the
-// query's index in the row's sorted-unique `slots`.
+// each span is stepped: the last step of a span is clamped). Anchors are
+// grid points, not checkpoints: a caller that needs the state at an anchor
+// also passes it as a query. The forward plan integrates the grid points
+// t >= 0 from t = 0; queries before the first observation get an extra
+// engine row integrating the points t < 0 backward from the same initial
+// state. Checkpoints are tagged with the query's index in the row's
+// sorted-unique `slots`.
 struct BatchPlans {
   // Engine rows: rows [0, b) are the forward chains (engine row r is batch
   // row r); any backward chains follow.
@@ -33,12 +35,6 @@ struct BatchPlans {
   std::vector<std::vector<Scalar>> slots;
   // Per batch row, each query's index into `slots`, in query order.
   std::vector<std::vector<Index>> query_slots;
-  // Per batch row, the anchors its forward row reaches, in time order:
-  // `after_steps` is the step count at which the row stands at the anchor,
-  // `tag` the anchor's index in `anchors[r]` (the first of equal times).
-  // They are not checkpoints, so the engine's waves never stop at them; the
-  // tape forward adds its consistency term there.
-  std::vector<std::vector<ode::RowCheckpoint>> anchor_steps;
   // Per batch row, its backward engine row, or -1 when every query is at
   // t >= 0.
   std::vector<Index> back_row;

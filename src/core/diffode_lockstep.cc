@@ -168,25 +168,21 @@ class LockstepEngine {
         StatesAt(encs, queries);
     const Index ro = m_.ReadoutDim();
     TensorT<T> x = TensorT<T>::Uninit(Shape{b, 2 * ro});
-    // Per row: [mean-pooled readout ‖ final readout], as raw loops over
-    // disjoint slices of x, so rows shard across the pool.
-    parallel::ParallelFor(0, b, 1, [&](Index r0, Index r1) {
-      std::vector<T> ri(static_cast<std::size_t>(ro));
-      for (Index r = r0; r < r1; ++r) {
-        const EncodedT<T>& enc = encs[static_cast<std::size_t>(r)];
-        const std::vector<TensorT<T>>& st = states[static_cast<std::size_t>(r)];
-        T* acc = x.data() + r * 2 * ro;
-        ReadInto(enc, st[0].data(), acc);
-        for (std::size_t i = 1; i < st.size(); ++i) {
-          ReadInto(enc, st[i].data(), ri.data());
-          for (Index j = 0; j < ro; ++j)
-            acc[j] += ri[static_cast<std::size_t>(j)];
-        }
-        const T inv = T(1) / static_cast<T>(st.size());
-        for (Index j = 0; j < ro; ++j) acc[j] *= inv;
-        ReadInto(enc, st.back().data(), acc + ro);
-      }
-    });
+    // Per row: [mean-pooled readout ‖ final readout]. The pool is the
+    // 1 x n GEMM by a 1/n row that DiffOde::ClassifyLogits runs on the tape.
+    for (Index r = 0; r < b; ++r) {
+      const std::vector<TensorT<T>>& st = states[static_cast<std::size_t>(r)];
+      const Index n = static_cast<Index>(st.size());
+      TensorT<T> readout = TensorT<T>::Uninit(Shape{n, ro});
+      for (std::size_t i = 0; i < st.size(); ++i)
+        ReadInto(encs[static_cast<std::size_t>(r)], st[i].data(),
+                 readout.data() + static_cast<Index>(i) * ro);
+      const TensorT<T> pool =
+          TensorT<T>::Full(Shape{1, n}, static_cast<T>(1.0 / n));
+      T* dst = x.data() + r * 2 * ro;
+      kernels::Gemm(1, n, ro, pool.data(), readout.data(), dst);
+      std::copy_n(readout.data() + (n - 1) * ro, ro, dst + ro);
+    }
     return ToF64<T>(snap_.f_out_cls.Forward(x));
   }
 
@@ -205,23 +201,25 @@ class LockstepEngine {
         dst.push_back((t - enc.t_offset) * enc.t_scale);
     }
     const std::vector<std::vector<TensorT<T>>> states = StatesAt(encs, norm);
-    const Index ro = m_.ReadoutDim();
     std::vector<std::vector<Tensor>> out(static_cast<std::size_t>(b));
-    for (Index r = 0; r < b; ++r) {
-      const EncodedT<T>& enc = encs[static_cast<std::size_t>(r)];
-      const auto& nq = norm[static_cast<std::size_t>(r)];
-      auto& dst = out[static_cast<std::size_t>(r)];
-      dst.reserve(nq.size());
-      for (std::size_t k = 0; k < nq.size(); ++k) {
-        // Per-pair head application on [readout ‖ t], 1 x (ReadoutDim()+1):
-        // the per-sequence shape.
-        TensorT<T> xrow = TensorT<T>::Uninit(Shape{1, ro + 1});
-        ReadInto(enc, states[static_cast<std::size_t>(r)][k].data(),
-                 xrow.data());
-        xrow.data()[ro] = static_cast<T>(nq[k]);
-        dst.push_back(ToF64<T>(snap_.f_out_reg.Forward(xrow)));
+    Index pairs = 0;
+    for (const auto& st : states) pairs += static_cast<Index>(st.size());
+    if (pairs == 0) return out;
+    // One head application over [readout ‖ t] of every (row, query) pair,
+    // stacked row after row: at B = 1, the matrix DiffOde::PredictAt builds.
+    const Index ro = m_.ReadoutDim();
+    TensorT<T> x = TensorT<T>::Uninit(Shape{pairs, ro + 1});
+    T* row = x.data();
+    for (std::size_t r = 0; r < out.size(); ++r)
+      for (std::size_t k = 0; k < norm[r].size(); ++k, row += ro + 1) {
+        ReadInto(encs[r], states[r][k].data(), row);
+        row[ro] = static_cast<T>(norm[r][k]);
       }
-    }
+    const Tensor preds = ToF64<T>(snap_.f_out_reg.Forward(x));
+    Index p = 0;
+    for (std::size_t r = 0; r < out.size(); ++r)
+      for (std::size_t k = 0; k < norm[r].size(); ++k)
+        out[r].push_back(preds.Row(p++));
     return out;
   }
 

@@ -178,39 +178,37 @@ ode::DiffOdeFunc DiffOde::Dynamics(const Encoded& enc) const {
   };
 }
 
-ag::Var DiffOde::ReadoutInput(const Encoded& enc, const ag::Var& state) const {
+ag::Var DiffOde::ReadoutInput(const Encoded& enc,
+                              const ag::Var& states) const {
   const Index d = config_.latent_dim;
   const Index dc = config_.hippo_dim;
   const Index dr = config_.info_dim;
   if (!config_.use_attention) {
-    return ag::ConcatCols({enc.z_mean, ag::SliceCols(state, dc, dr)});
+    ag::Var z_bar = ag::MatMul(
+        ag::Constant(Tensor::Ones(Shape{states.rows(), 1})), enc.z_mean);
+    return ag::ConcatCols({z_bar, ag::SliceCols(states, dc, dr)});
   }
-  if (config_.head == OutputHead::kDirect) return state;
+  if (config_.head == OutputHead::kDirect) return states;
   return ag::ConcatCols(
-      {ag::SliceCols(state, 0, d), ag::SliceCols(state, d + dc, dr)});
+      {ag::SliceCols(states, 0, d), ag::SliceCols(states, d + dc, dr)});
 }
 
-ag::Var DiffOde::ConsistencyTerm(const Encoded& enc, const ag::Var& y,
-                                 Index obs) const {
-  const Index d = config_.latent_dim;
-  const Index dh = d / config_.num_heads;
-  ag::Var s_cur =
-      config_.head == OutputHead::kDirect ? y : ag::SliceCols(y, 0, d);
-  ag::Var zq = ag::SliceRows(enc.z, obs, 1);
-  std::vector<ag::Var> anchor_heads;
-  for (Index hidx = 0; hidx < config_.num_heads; ++hidx) {
-    ag::Var zq_h =
-        config_.num_heads == 1 ? zq : ag::SliceCols(zq, hidx * dh, dh);
-    anchor_heads.push_back(
-        DhsForward(enc.heads[static_cast<std::size_t>(hidx)], zq_h));
-  }
-  ag::Var anchor = config_.num_heads == 1 ? anchor_heads[0]
-                                          : ag::ConcatCols(anchor_heads);
-  return ag::Mean(ag::Square(ag::Sub(s_cur, anchor)));
+ag::Var DiffOde::ConsistencyTerm(const Encoded& enc,
+                                 const ag::Var& states) const {
+  ag::Var s = config_.head == OutputHead::kDirect
+                  ? states
+                  : ag::SliceCols(states, 0, config_.latent_dim);
+  // Every observation's Eq. 5 state at once: softmax(Z Zᵀ/√d) Z per head.
+  std::vector<ag::Var> heads;
+  for (const DhsContext& head : enc.heads)
+    heads.push_back(DhsForward(head, head.z));
+  ag::Var target = heads.size() == 1 ? heads[0] : ag::ConcatCols(heads);
+  return ag::MulScalar(ag::Mean(ag::Square(ag::Sub(s, target))),
+                       config_.consistency_weight);
 }
 
-std::vector<ag::Var> DiffOde::StatesAt(
-    const Encoded& enc, const std::vector<Scalar>& norm_times) const {
+ag::Var DiffOde::StatesAt(const Encoded& enc,
+                          const std::vector<Scalar>& norm_times) const {
   ode::DiffOdeFunc f = Dynamics(enc);
   ag::Var y0 = InitialState(enc);
   // The consistency MSE pulls S(t_i) toward its Eq. 5 definition at every
@@ -218,85 +216,81 @@ std::vector<ag::Var> DiffOde::StatesAt(
   // anchor times it folds into the grid change how each span is stepped (the
   // last step is clamped to the remaining distance). Keep the anchors in the
   // grid in every mode and gate only the term, so no-grad forwards stay
-  // bitwise identical to grad-on forwards.
+  // bitwise identical to grad-on forwards. While the term is on, the anchors
+  // are queries too, after the requested ones; they add no grid point.
   const bool anchored =
       config_.use_attention && config_.consistency_weight > 0.0;
   const bool anchor_terms = anchored && ag::GradMode::IsEnabled();
+  std::vector<Scalar> queries = norm_times;
+  if (anchor_terms)
+    queries.insert(queries.end(), enc.norm_times.begin(),
+                   enc.norm_times.end());
   // The engine's timeline at B = 1 (core/batch_plans.h).
   const BatchPlans bp = BuildBatchPlans(
-      {norm_times}, {anchored ? &enc.norm_times : nullptr}, config_.step);
+      {queries}, {anchored ? &enc.norm_times : nullptr}, config_.step);
   std::vector<ag::Var> at_slot(bp.slots[0].size());
-  ag::Var anchor_acc;
   // Walks one engine row on the tape. At each step count, and after the
   // last step, it stores the state of every checkpoint due there in its
-  // query slot and adds the consistency term of every anchor due there.
-  const auto walk = [&](const ode::RowPlan& plan,
-                        const std::vector<ode::RowCheckpoint>& anchors) {
+  // query slot.
+  const auto walk = [&](const ode::RowPlan& plan) {
     ag::Var y = y0;
     std::size_t next = 0;
-    std::size_t next_anchor = 0;
     for (std::size_t done = 0;; ++done) {
-      const Index due = static_cast<Index>(done);
       for (; next < plan.checkpoints.size() &&
-             plan.checkpoints[next].after_steps == due;
+             plan.checkpoints[next].after_steps == static_cast<Index>(done);
            ++next)
         at_slot[static_cast<std::size_t>(plan.checkpoints[next].tag)] = y;
-      for (; next_anchor < anchors.size() &&
-             anchors[next_anchor].after_steps == due;
-           ++next_anchor) {
-        ag::Var term = ConsistencyTerm(enc, y, anchors[next_anchor].tag);
-        anchor_acc = anchor_acc.defined() ? ag::Add(anchor_acc, term) : term;
-      }
       if (done == plan.steps.size()) return;
       y = ode::Step(f, diff_method_, plan.steps[done].t, y,
                     plan.steps[done].h);
     }
   };
-  const std::vector<ode::RowCheckpoint>& anchors = bp.anchor_steps[0];
-  const std::vector<ode::RowCheckpoint> no_anchors;
-  walk(bp.plans[0], anchor_terms ? anchors : no_anchors);
-  if (anchor_acc.defined()) {
-    AddAuxiliaryLoss(ag::MulScalar(
-        anchor_acc,
-        config_.consistency_weight / static_cast<Scalar>(anchors.size())));
-  }
+  walk(bp.plans[0]);
   if (bp.back_row[0] >= 0)
-    walk(bp.plans[static_cast<std::size_t>(bp.back_row[0])], no_anchors);
-  std::vector<ag::Var> out;
-  out.reserve(norm_times.size());
+    walk(bp.plans[static_cast<std::size_t>(bp.back_row[0])]);
+  std::vector<ag::Var> rows;
   for (Index slot : bp.query_slots[0])
-    out.push_back(at_slot[static_cast<std::size_t>(slot)]);
-  return out;
+    rows.push_back(at_slot[static_cast<std::size_t>(slot)]);
+  if (anchor_terms) {
+    const auto first_anchor =
+        rows.begin() + static_cast<std::ptrdiff_t>(norm_times.size());
+    AddAuxiliaryLoss(ConsistencyTerm(
+        enc, ag::ConcatRows(std::vector<ag::Var>(first_anchor, rows.end()))));
+    rows.erase(first_anchor, rows.end());
+  }
+  return ag::ConcatRows(rows);
 }
 
 ag::Var DiffOde::ClassifyLogits(const data::IrregularSeries& context) {
   Encoded enc = Encode(context);
-  std::vector<ag::Var> states = StatesAt(enc, enc.norm_times);
+  ag::Var readout = ReadoutInput(enc, StatesAt(enc, enc.norm_times));
   // Mean-pool the readout inputs over all integration (observation) times —
-  // "S refers to DHS at all integration time points" (Sec. III-D).
-  ag::Var acc = ReadoutInput(enc, states[0]);
-  for (std::size_t i = 1; i < states.size(); ++i)
-    acc = ag::AddInPlace(acc, ReadoutInput(enc, states[i]));
-  acc = ag::MulScalar(acc, 1.0 / static_cast<Scalar>(states.size()));
-  ag::Var final_state = ReadoutInput(enc, states.back());
-  return f_out_cls_->Forward(ag::ConcatCols({acc, final_state}));
+  // "S refers to DHS at all integration time points" (Sec. III-D) — with
+  // one MatMul by a 1/n row, as z_mean, and append the final one.
+  const Index n = readout.rows();
+  ag::Var pool = ag::MatMul(
+      ag::Constant(Tensor::Full(Shape{1, n}, 1.0 / static_cast<Scalar>(n))),
+      readout);
+  return f_out_cls_->Forward(
+      ag::ConcatCols({pool, ag::SliceRows(readout, n - 1, 1)}));
 }
 
 std::vector<ag::Var> DiffOde::PredictAt(const data::IrregularSeries& context,
                                         const std::vector<Scalar>& times) {
+  if (times.empty()) return {};
   Encoded enc = Encode(context);
+  const Index m = static_cast<Index>(times.size());
   std::vector<Scalar> norm;
   norm.reserve(times.size());
   for (Scalar t : times) norm.push_back((t - enc.t_offset) * enc.t_scale);
-  std::vector<ag::Var> states = StatesAt(enc, norm);
-  std::vector<ag::Var> preds;
-  preds.reserve(states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    ag::Var t_var = ag::Constant(Tensor::Full(Shape{1, 1}, norm[i]));
-    preds.push_back(f_out_reg_->Forward(
-        ag::ConcatCols({ReadoutInput(enc, states[i]), t_var})));
-  }
-  return preds;
+  // One head application over [readout ‖ t] of all m queries.
+  ag::Var preds = f_out_reg_->Forward(
+      ag::ConcatCols({ReadoutInput(enc, StatesAt(enc, norm)),
+                      ag::Constant(Tensor::FromRows(m, 1, norm))}));
+  std::vector<ag::Var> out;
+  out.reserve(times.size());
+  for (Index i = 0; i < m; ++i) out.push_back(ag::SliceRows(preds, i, 1));
+  return out;
 }
 
 Tensor DiffOde::LatentZ(const data::IrregularSeries& context) {

@@ -107,18 +107,20 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // Augmented dynamics over the encoded context: one RhsVar node per
   // evaluation. Reads `enc`, which must outlive the returned function.
   ode::DiffOdeFunc Dynamics(const Encoded& enc) const;
-  // Readout input ([S | r], S, or [z̄ | r] depending on config).
-  ag::Var ReadoutInput(const Encoded& enc, const ag::Var& state) const;
-  // States at the given (normalized, may be unsorted) times: walks the B = 1
-  // timeline of BuildBatchPlans on the tape, forward and backward from the
-  // first observation as needed, and adds the consistency term at the
-  // observation anchors when grad is on.
-  std::vector<ag::Var> StatesAt(const Encoded& enc,
-                                const std::vector<Scalar>& norm_times) const;
-  // The consistency term at observation `obs`: the MSE between the state's
-  // S part and the forward DHS S(t_obs) of Eq. 5.
-  ag::Var ConsistencyTerm(const Encoded& enc, const ag::Var& y,
-                          Index obs) const;
+  // Readout inputs of stacked states, one row each ([S | r], S, or
+  // [z̄ | r] depending on config).
+  ag::Var ReadoutInput(const Encoded& enc, const ag::Var& states) const;
+  // States at the given (normalized, may be unsorted, non-empty) times,
+  // stacked one row per time: walks the B = 1 timeline of BuildBatchPlans
+  // on the tape, forward and backward from the first observation as needed.
+  // When grad is on it also reads the states at the observation anchors and
+  // adds their consistency term to the aux loss.
+  ag::Var StatesAt(const Encoded& enc,
+                   const std::vector<Scalar>& norm_times) const;
+  // The weighted consistency term of the n x StateDim() states at the
+  // observation times: the MSE between their S part and the forward DHS
+  // S(t_i) of Eq. 5, over all n observations and d coordinates.
+  ag::Var ConsistencyTerm(const Encoded& enc, const ag::Var& states) const;
 
   Index StateDim() const;
   Index ReadoutDim() const;

@@ -1,10 +1,12 @@
 // core::BuildBatchPlans, the one DIFFODE step timeline that both the tape
 // forward (DiffOde::StatesAt) and the lockstep serving engine walk: query
-// slots, the forward and backward rows, and the anchor steps at which the
-// tape forward adds its consistency term.
+// slots, the forward and backward rows, the observation anchors as grid
+// points (the engine's form) and, passed as queries too, as the checkpoints
+// the tape forward reads its consistency term from.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -44,7 +46,6 @@ TEST(BatchPlansTest, UnsortedDuplicateQueriesGetSortedUniqueSlots) {
   EXPECT_EQ(bp.slots[0], (std::vector<Scalar>{0.7, 1.0, 2.5}));
   EXPECT_EQ(bp.query_slots[0], (std::vector<Index>{2, 0, 2, 1, 0}));
   EXPECT_EQ(bp.back_row[0], -1);
-  EXPECT_TRUE(bp.anchor_steps[0].empty());
   // One checkpoint per slot, in slot order, where the row stands at it.
   const ode::RowPlan& plan = bp.plans[0];
   ASSERT_EQ(plan.checkpoints.size(), 3u);
@@ -111,19 +112,15 @@ TEST(BatchPlansTest, AnchorsFoldIntoTheForwardGrid) {
     EXPECT_EQ(plan.steps[i].t, want[i].t) << i;
     EXPECT_EQ(plan.steps[i].h, want[i].h) << i;
   }
-  // Anchors are no checkpoints: only the two t >= 0 queries check out.
+  // Anchors are no checkpoints: only the two t >= 0 queries check out, the
+  // one at 2.0 where the row stands at that anchor.
   ASSERT_EQ(plan.checkpoints.size(), 2u);
-  // One anchor step per distinct anchor time, tagged with its first index.
-  const auto& anchors = bp.anchor_steps[0];
-  ASSERT_EQ(anchors.size(), 5u);
-  const std::vector<Index> tags = {0, 1, 2, 4, 5};
-  for (std::size_t k = 0; k < anchors.size(); ++k) {
-    EXPECT_EQ(anchors[k].tag, tags[k]);
-    EXPECT_NEAR(TimeAfter(plan, anchors[k].after_steps),
-                kAnchors[static_cast<std::size_t>(anchors[k].tag)], 1e-12);
-  }
-  // The query at 2.0 and the anchor at 2.0 share a step count.
-  EXPECT_EQ(plan.checkpoints[1].after_steps, anchors[3].after_steps);
+  EXPECT_EQ(bp.slots[0], (std::vector<Scalar>{-1.0, 0.9, 2.0}));
+  EXPECT_EQ(plan.checkpoints[0].tag, 1);
+  EXPECT_EQ(plan.checkpoints[1].tag, 2);
+  for (const ode::RowCheckpoint& c : plan.checkpoints)
+    EXPECT_EQ(TimeAfter(plan, c.after_steps),
+              bp.slots[0][static_cast<std::size_t>(c.tag)]);
   // The negative query's backward row is unaffected by the anchors.
   ASSERT_GE(bp.back_row[0], 0);
   EXPECT_EQ(bp.plans[static_cast<std::size_t>(bp.back_row[0])].steps.size(),
@@ -138,7 +135,7 @@ TEST(BatchPlansTest, RejectsAnchorsOutOfOrderOrBeforeZero) {
   EXPECT_DEATH(BuildBatchPlans({{1.0}}, {&negative}, kStep), "anchors");
 }
 
-TEST(BatchPlansTest, AnchorStepsAreWhereIntegrateVarReachesEachAnchor) {
+TEST(BatchPlansTest, AnchorQueriesHoldTheIntegrateVarStateAtEachAnchor) {
   // A nonlinear, time-dependent field, so any difference in the step
   // sequence would show in the state bits.
   const ode::DiffOdeFunc f = [](Scalar t, const ag::Var& y) {
@@ -146,32 +143,53 @@ TEST(BatchPlansTest, AnchorStepsAreWhereIntegrateVarReachesEachAnchor) {
   };
   ag::NoGradScope no_grad;
   const ag::Var y0 = ag::Constant(Tensor::FromRows(1, 2, {0.4, -1.3}));
-  const BatchPlans bp = BuildBatchPlans({kQueries}, {&kAnchors}, kStep);
+  // The anchors passed as queries too, after the row's own queries, as the
+  // tape forward does while the consistency term is on.
+  std::vector<Scalar> queries = kQueries;
+  queries.insert(queries.end(), kAnchors.begin(), kAnchors.end());
+  const BatchPlans bp = BuildBatchPlans({queries}, {&kAnchors}, kStep);
+  const ode::RowPlan& plan = bp.plans[0];
+  // The extra queries add checkpoints but no step.
+  const BatchPlans grid_only = BuildBatchPlans({kQueries}, {&kAnchors}, kStep);
+  ASSERT_EQ(plan.steps.size(), grid_only.plans[0].steps.size());
+  for (std::size_t i = 0; i < plan.steps.size(); ++i) {
+    EXPECT_EQ(plan.steps[i].t, grid_only.plans[0].steps[i].t) << i;
+    EXPECT_EQ(plan.steps[i].h, grid_only.plans[0].steps[i].h) << i;
+  }
+  // The forward grid points, in order.
+  const std::vector<Scalar> grid = {0.0, 0.45, 0.9, 1.2, 2.0, 3.1};
   for (ode::DiffMethod method : {ode::DiffMethod::kEuler,
                                  ode::DiffMethod::kMidpoint,
                                  ode::DiffMethod::kRk4}) {
     // The plan walk's state at every step count.
     std::vector<Tensor> walked = {y0.value()};
     ag::Var walk = y0;
-    for (const ode::RowStep& s : bp.plans[0].steps) {
+    for (const ode::RowStep& s : plan.steps) {
       walk = ode::Step(f, method, s.t, walk, s.h);
       walked.push_back(walk.value());
     }
     // The interval unroll, one grid point after the other.
+    std::vector<Tensor> at_grid;
     ag::Var y = y0;
     Scalar t_prev = 0.0;
-    for (const ode::RowCheckpoint& a : bp.anchor_steps[0]) {
-      // Through the query at 0.9 that sits between two anchors.
-      const Scalar t = kAnchors[static_cast<std::size_t>(a.tag)];
-      if (t_prev < 0.9 && 0.9 < t) {
-        y = ode::IntegrateVar(f, y, t_prev, 0.9, {method, kStep});
-        t_prev = 0.9;
-      }
+    for (Scalar t : grid) {
       y = ode::IntegrateVar(f, y, t_prev, t, {method, kStep});
+      at_grid.push_back(y.value());
       t_prev = t;
-      const Tensor& got = walked[static_cast<std::size_t>(a.after_steps)];
+    }
+    for (std::size_t i = 0; i < kAnchors.size(); ++i) {
+      const Index slot = bp.query_slots[0][kQueries.size() + i];
+      EXPECT_EQ(bp.slots[0][static_cast<std::size_t>(slot)], kAnchors[i]);
+      const auto cp = std::find_if(
+          plan.checkpoints.begin(), plan.checkpoints.end(),
+          [slot](const ode::RowCheckpoint& c) { return c.tag == slot; });
+      ASSERT_NE(cp, plan.checkpoints.end()) << "anchor " << i;
+      const auto g = std::find(grid.begin(), grid.end(), kAnchors[i]);
+      ASSERT_NE(g, grid.end()) << "anchor " << i;
+      const Tensor& got = walked[static_cast<std::size_t>(cp->after_steps)];
+      const Tensor& want = at_grid[static_cast<std::size_t>(g - grid.begin())];
       for (Index j = 0; j < 2; ++j)
-        EXPECT_EQ(got.at(0, j), y.value().at(0, j)) << "anchor " << a.tag;
+        EXPECT_EQ(got.at(0, j), want.at(0, j)) << "anchor " << i;
     }
   }
 }

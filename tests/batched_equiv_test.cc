@@ -311,6 +311,39 @@ TEST(BatchedEquivTest, DiffOdeVariantsMatchPerSequence) {
   }
 }
 
+TEST(BatchedEquivTest, DiffOdeRowWithoutQueriesGetsNoPredictions) {
+  // No query times give no predictions, on the tape path (grad on and off)
+  // and in the engine. In a batch of 3 whose middle row asks for nothing,
+  // the other rows match their B = 1 runs bitwise.
+  core::DiffOde model(SmallConfig());
+  const std::vector<data::IrregularSeries> series = MakeBatchSeries(3, 500);
+  EXPECT_TRUE(model.PredictAt(series[0], {}).empty());
+  (void)model.TakeAuxiliaryLoss();
+  {
+    ag::NoGradScope no_grad;
+    EXPECT_TRUE(model.PredictAt(series[0], {}).empty());
+  }
+  const std::vector<std::vector<Tensor>> alone = model.PredictAtBatched(
+      data::MakeSequenceBatch({&series[0]}), {std::vector<Scalar>{}});
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_TRUE(alone[0].empty());
+
+  std::vector<std::vector<Scalar>> times = MakeQueryTimes(series);
+  times[1].clear();
+  const std::vector<std::vector<Tensor>> preds = model.PredictAtBatched(
+      data::MakeSequenceBatch({&series[0], &series[1], &series[2]}), times);
+  ASSERT_EQ(preds.size(), 3u);
+  EXPECT_TRUE(preds[1].empty());
+  for (std::size_t r : {0u, 2u}) {
+    const std::vector<std::vector<Tensor>> single =
+        model.PredictAtBatched(data::MakeSequenceBatch({&series[r]}),
+                               {times[r]});
+    ASSERT_EQ(preds[r].size(), single[0].size()) << r;
+    for (std::size_t k = 0; k < single[0].size(); ++k)
+      ExpectBitwiseEqual(preds[r][k], single[0][k], "pred");
+  }
+}
+
 TEST(BatchedEquivTest, FallbackLoopServesNonLockstepModels) {
   // The baselines have no native lockstep engine; BatchedDispatch must serve
   // them through the per-sequence loop with identical (bitwise) results.

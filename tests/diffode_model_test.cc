@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iomanip>
 #include <string>
 
 #include "autograd/ops.h"
@@ -162,34 +164,50 @@ TEST(DiffOdeModelTest, RegressionLossDecreasesWithTraining) {
   EXPECT_LT(last_loss, first_loss * 0.5);
 }
 
-// Central-difference gradcheck of a whole DIFFODE forward: the masked MSE
-// of interpolation queries plus the aux loss (the consistency anchors), with
-// respect to every parameter tensor the loss reaches — encoder, φ, h2-head,
-// f_r, w_r, r_init and the regression head (and the adaH head under adaH).
-// One short context per variant of batched_equiv_test, with n > d so
-// max-Hoyer corrects.
+// The small model the gradchecks and the aux pin run.
+DiffOdeConfig GradcheckConfig() {
+  DiffOdeConfig config;
+  config.input_dim = 1;
+  config.latent_dim = 4;
+  config.hippo_dim = 3;
+  config.info_dim = 3;
+  config.mlp_hidden = 5;
+  config.step = 2.0;
+  return config;
+}
+
+// Central-difference gradcheck of a whole DIFFODE forward plus the aux loss
+// (the consistency anchors), with respect to every parameter tensor the loss
+// reaches: encoder, φ, h2-head, f_r, w_r, r_init and the task's head (and
+// the adaH head under adaH). Regression variants score the masked MSE of
+// interpolation queries through the regression head; classification
+// variants score the cross-entropy of the pooled readout through the
+// classification head. One short context per variant of
+// batched_equiv_test, with n > d so max-Hoyer corrects.
 TEST(DiffOdeModelTest, WholeModelGradientMatchesFiniteDifferences) {
-  DiffOdeConfig base;
-  base.input_dim = 1;
-  base.latent_dim = 4;
-  base.hippo_dim = 3;
-  base.info_dim = 3;
-  base.mlp_hidden = 5;
-  base.step = 2.0;
-  std::vector<std::pair<std::string, DiffOdeConfig>> variants;
-  variants.emplace_back("default", base);
-  variants.emplace_back("minNorm", base);
-  variants.back().second.pt_strategy = sparsity::PtStrategy::kMinNorm;
-  variants.emplace_back("adaH", base);
-  variants.back().second.pt_strategy = sparsity::PtStrategy::kAdaH;
-  variants.emplace_back("direct head", base);
-  variants.back().second.head = OutputHead::kDirect;
-  variants.emplace_back("no attention", base);
-  variants.back().second.use_attention = false;
-  variants.emplace_back("MLP encoder", base);
-  variants.back().second.encoder = EncoderType::kMlp;
-  variants.emplace_back("2 heads", base);
-  variants.back().second.num_heads = 2;
+  struct Variant {
+    std::string name;
+    DiffOdeConfig config;
+    bool classify = false;
+  };
+  const DiffOdeConfig base = GradcheckConfig();
+  std::vector<Variant> variants;
+  variants.push_back({"default", base});
+  variants.push_back({"minNorm", base});
+  variants.back().config.pt_strategy = sparsity::PtStrategy::kMinNorm;
+  variants.push_back({"adaH", base});
+  variants.back().config.pt_strategy = sparsity::PtStrategy::kAdaH;
+  variants.push_back({"direct head", base});
+  variants.back().config.head = OutputHead::kDirect;
+  variants.push_back({"no attention", base});
+  variants.back().config.use_attention = false;
+  variants.push_back({"MLP encoder", base});
+  variants.back().config.encoder = EncoderType::kMlp;
+  variants.push_back({"2 heads", base});
+  variants.back().config.num_heads = 2;
+  variants.push_back({"classification", base, true});
+  variants.push_back({"classification, no attention", base, true});
+  variants.back().config.use_attention = false;
 
   data::IrregularSeries s = MakeSeries(6, 1, 12);
   const std::vector<Scalar> queries = {s.times[1], s.times[4] + 0.3,
@@ -197,24 +215,54 @@ TEST(DiffOdeModelTest, WholeModelGradientMatchesFiniteDifferences) {
   const Tensor target = Tensor::Full(Shape{3, 1}, 0.25);
   Tensor mask = Tensor::Ones(Shape{3, 1});
   mask.at(1, 0) = 0.0;
-  for (const auto& [name, config] : variants) {
-    DiffOde model(config);
-    auto loss_fn = [&model, &s, &queries, &target, &mask] {
-      ag::Var loss = ag::MaskedMseLoss(
-          ag::ConcatRows(model.PredictAt(s, queries)), target, mask);
+  for (const Variant& v : variants) {
+    DiffOde model(v.config);
+    auto loss_fn = [&model, &s, &queries, &target, &mask, &v] {
+      ag::Var loss =
+          v.classify
+              ? ag::SoftmaxCrossEntropy(model.ClassifyLogits(s), {s.label})
+              : ag::MaskedMseLoss(ag::ConcatRows(model.PredictAt(s, queries)),
+                                  target, mask);
       ag::Var aux = model.TakeAuxiliaryLoss();
       return aux.defined() ? ag::Add(loss, aux) : loss;
     };
     // CollectParams order: encoder (4), φ (4), h2-head (2), adaH head (2),
-    // f_r (4), w_r (2), r_init (2), classification head (4, unused here),
-    // regression head (4).
+    // f_r (4), w_r (2), r_init (2), classification head (4), regression
+    // head (4). The task's other head is unused.
     std::vector<ag::Var> params = model.Params();
-    ASSERT_EQ(params.size(), 28u) << name;
+    ASSERT_EQ(params.size(), 28u) << v.name;
+    const std::size_t unused = v.classify ? 24 : 20;
     for (std::size_t i = 0; i < params.size(); ++i) {
-      if (i >= 20 && i < 24) continue;
+      if (i >= unused && i < unused + 4) continue;
       EXPECT_LT(testing::MaxGradError(params[i], loss_fn, 1e-6), 1e-6)
-          << name << " param " << i;
+          << v.name << " param " << i;
     }
+  }
+}
+
+// The consistency term's value on a fixed model and series, pinned at
+// 1e-12 relative: it scores all n observations at once, and a change that
+// scores other states or other targets moves it.
+TEST(DiffOdeModelTest, AuxiliaryLossValueIsPinned) {
+  struct Pin {
+    std::string name;
+    DiffOdeConfig config;
+    Scalar aux;
+  };
+  const DiffOdeConfig base = GradcheckConfig();
+  std::vector<Pin> pins;
+  pins.push_back({"default", base, 5.9307003291321405e-4});
+  pins.push_back({"2 heads", base, 1.1047953800069649e-3});
+  pins.back().config.num_heads = 2;
+  pins.push_back({"direct head", base, 5.9307003291321405e-4});
+  pins.back().config.head = OutputHead::kDirect;
+  const data::IrregularSeries s = MakeSeries(6, 1, 12);
+  for (const Pin& pin : pins) {
+    DiffOde model(pin.config);
+    (void)model.PredictAt(s, {s.times[1], s.times.back() + 0.5});
+    const Scalar aux = model.TakeAuxiliaryLoss().value().item();
+    EXPECT_NEAR(aux, pin.aux, 1e-12 * std::fabs(pin.aux))
+        << pin.name << ": " << std::setprecision(17) << aux;
   }
 }
 
