@@ -15,15 +15,16 @@ namespace diffode::core {
 // construction is always f64 and dtype-free, so every forward and both
 // serving precisions integrate the EXACT same step grids.
 //
-// Each batch row's grid is its sorted-unique query times plus, when the
-// consistency term is configured, its observation anchors (which change how
-// each span is stepped: the last step of a span is clamped). Anchors are
-// grid points, not checkpoints: a caller that needs the state at an anchor
-// also passes it as a query. The forward plan integrates the grid points
-// t >= 0 from t = 0; queries before the first observation get an extra
-// engine row integrating the points t < 0 backward from the same initial
-// state. Checkpoints are tagged with the query's index in the row's
-// sorted-unique `slots`.
+// Each batch row's grid is its sorted-unique query times plus any anchors
+// passed for it (which change how each span is stepped: the last step of a
+// span is clamped). Anchors are grid points, not checkpoints. The model's
+// forwards pass none: the consistency term reads the observation states by
+// linear interpolation between step ends (DiffOde::StatesAt), so the grid
+// is the queries'. The forward plan integrates the grid points t >= 0 from
+// t = 0; queries before the first observation get an extra engine row
+// integrating the points t < 0 backward from the same initial state.
+// Checkpoints are tagged with the query's index in the row's sorted-unique
+// `slots`.
 struct BatchPlans {
   // Engine rows: rows [0, b) are the forward chains (engine row r is batch
   // row r); any backward chains follow.
@@ -40,10 +41,9 @@ struct BatchPlans {
   std::vector<Index> back_row;
 };
 
-// `anchors[r]` lists row r's observation anchor times to fold into the step
-// grid, non-decreasing from t >= 0 (the normalized observation times of an
-// IrregularSeries), or is nullptr when the model has no consistency
-// anchoring. `step` is the solver step size.
+// `anchors[r]` lists extra times to fold into row r's step grid,
+// non-decreasing from t >= 0, or is nullptr (every model forward). `step`
+// is the solver step size.
 BatchPlans BuildBatchPlans(
     const std::vector<std::vector<Scalar>>& norm_queries,
     const std::vector<const std::vector<Scalar>*>& anchors, Scalar step);

@@ -321,17 +321,13 @@ class LockstepEngine {
       const std::vector<std::vector<Scalar>>& norm_queries) const {
     const Index b = static_cast<Index>(encs.size());
     const Index sd = m_.StateDim();
-    const bool anchored = c_.use_attention && c_.consistency_weight > 0.0;
 
     // The one DIFFODE timeline (core/batch_plans.h), which the tape forward
-    // DiffOde::StatesAt walks too.
-    std::vector<const std::vector<Scalar>*> anchors(
-        static_cast<std::size_t>(b), nullptr);
-    if (anchored)
-      for (Index r = 0; r < b; ++r)
-        anchors[static_cast<std::size_t>(r)] =
-            &encs[static_cast<std::size_t>(r)].norm_times;
-    const BatchPlans bp = BuildBatchPlans(norm_queries, anchors, c_.step);
+    // DiffOde::StatesAt walks too: the queries' grid, with no anchors.
+    const BatchPlans bp = BuildBatchPlans(
+        norm_queries,
+        std::vector<const std::vector<Scalar>*>(static_cast<std::size_t>(b)),
+        c_.step);
 
     // The carried state is f64 (see ode::LockstepIntegrate).
     const Index rows_total = static_cast<Index>(bp.plans.size());

@@ -7,6 +7,40 @@
 #include "hippo/hippo.h"
 
 namespace diffode::core {
+namespace {
+
+// The n x (K+1) weights that read each anchor time off the K+1 step-end
+// states of a forward plan: (1 - u, u) on the two step ends that bracket
+// it, or exactly 1 on a step end it equals. The step ends are the plan's
+// own times (step k starts where step k-1 ends, and the last step ends at
+// the plan's last grid point `t_end`), so an anchor on a grid point reads
+// its state bitwise.
+Tensor AnchorWeights(const ode::RowPlan& plan, Scalar t_end,
+                     const std::vector<Scalar>& anchors) {
+  const std::size_t k = plan.steps.size();
+  std::vector<Scalar> ends(k + 1, t_end);
+  for (std::size_t i = 0; i < k; ++i) ends[i] = plan.steps[i].t;
+  Tensor w(Shape{static_cast<Index>(anchors.size()),
+                 static_cast<Index>(k + 1)});
+  for (std::size_t i = 0; i < anchors.size(); ++i) {
+    const Scalar a = anchors[i];
+    const std::size_t j = static_cast<std::size_t>(
+        std::lower_bound(ends.begin(), ends.end(), a) - ends.begin());
+    DIFFODE_CHECK_MSG(j <= k && (ends[j] == a || j > 0),
+                      "consistency anchor outside the forward grid");
+    const Index row = static_cast<Index>(i);
+    if (ends[j] == a) {
+      w.at(row, static_cast<Index>(j)) = 1.0;
+      continue;
+    }
+    const Scalar u = (a - ends[j - 1]) / (ends[j] - ends[j - 1]);
+    w.at(row, static_cast<Index>(j - 1)) = 1.0 - u;
+    w.at(row, static_cast<Index>(j)) = u;
+  }
+  return w;
+}
+
+}  // namespace
 
 DiffOde::DiffOde(const DiffOdeConfig& config)
     : config_(config), rng_(config.seed) {
@@ -212,30 +246,32 @@ ag::Var DiffOde::StatesAt(const Encoded& enc,
   ode::DiffOdeFunc f = Dynamics(enc);
   ag::Var y0 = InitialState(enc);
   // The consistency MSE pulls S(t_i) toward its Eq. 5 definition at every
-  // observation time. The term itself is a training-only loss, but the
-  // anchor times it folds into the grid change how each span is stepped (the
-  // last step is clamped to the remaining distance). Keep the anchors in the
-  // grid in every mode and gate only the term, so no-grad forwards stay
-  // bitwise identical to grad-on forwards. While the term is on, the anchors
-  // are queries too, after the requested ones; they add no grid point.
-  const bool anchored =
-      config_.use_attention && config_.consistency_weight > 0.0;
-  const bool anchor_terms = anchored && ag::GradMode::IsEnabled();
-  std::vector<Scalar> queries = norm_times;
-  if (anchor_terms)
-    queries.insert(queries.end(), enc.norm_times.begin(),
-                   enc.norm_times.end());
+  // observation time. It is a training-only loss, and it reads S(t_i) off
+  // the query grid by linear interpolation of the step-end states, so the
+  // observation times add no grid point. The one exception is a last
+  // observation past every query: it extends the grid by one point after
+  // all of them, so the query states stay bitwise those of a no-grad
+  // forward and of the engine.
+  const bool anchor_terms = config_.use_attention &&
+                            config_.consistency_weight > 0.0 &&
+                            ag::GradMode::IsEnabled();
+  std::vector<Scalar> grid = norm_times;
+  if (anchor_terms &&
+      enc.norm_times.back() > *std::max_element(grid.begin(), grid.end()))
+    grid.push_back(enc.norm_times.back());
   // The engine's timeline at B = 1 (core/batch_plans.h).
-  const BatchPlans bp = BuildBatchPlans(
-      {queries}, {anchored ? &enc.norm_times : nullptr}, config_.step);
+  const BatchPlans bp = BuildBatchPlans({grid}, {nullptr}, config_.step);
   std::vector<ag::Var> at_slot(bp.slots[0].size());
+  // The forward row's state at every step end, kept while the term is on.
+  std::vector<ag::Var> end_states;
   // Walks one engine row on the tape. At each step count, and after the
   // last step, it stores the state of every checkpoint due there in its
   // query slot.
-  const auto walk = [&](const ode::RowPlan& plan) {
+  const auto walk = [&](const ode::RowPlan& plan, bool keep_ends) {
     ag::Var y = y0;
     std::size_t next = 0;
     for (std::size_t done = 0;; ++done) {
+      if (keep_ends) end_states.push_back(y);
       for (; next < plan.checkpoints.size() &&
              plan.checkpoints[next].after_steps == static_cast<Index>(done);
            ++next)
@@ -245,18 +281,18 @@ ag::Var DiffOde::StatesAt(const Encoded& enc,
                     plan.steps[done].h);
     }
   };
-  walk(bp.plans[0]);
+  walk(bp.plans[0], anchor_terms);
   if (bp.back_row[0] >= 0)
-    walk(bp.plans[static_cast<std::size_t>(bp.back_row[0])]);
+    walk(bp.plans[static_cast<std::size_t>(bp.back_row[0])], false);
   std::vector<ag::Var> rows;
-  for (Index slot : bp.query_slots[0])
-    rows.push_back(at_slot[static_cast<std::size_t>(slot)]);
+  for (std::size_t q = 0; q < norm_times.size(); ++q)
+    rows.push_back(
+        at_slot[static_cast<std::size_t>(bp.query_slots[0][q])]);
   if (anchor_terms) {
-    const auto first_anchor =
-        rows.begin() + static_cast<std::ptrdiff_t>(norm_times.size());
+    const Tensor w =
+        AnchorWeights(bp.plans[0], bp.slots[0].back(), enc.norm_times);
     AddAuxiliaryLoss(ConsistencyTerm(
-        enc, ag::ConcatRows(std::vector<ag::Var>(first_anchor, rows.end()))));
-    rows.erase(first_anchor, rows.end());
+        enc, ag::MatMul(ag::Constant(w), ag::ConcatRows(end_states))));
   }
   return ag::ConcatRows(rows);
 }

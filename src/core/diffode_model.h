@@ -113,8 +113,9 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // States at the given (normalized, may be unsorted, non-empty) times,
   // stacked one row per time: walks the B = 1 timeline of BuildBatchPlans
   // on the tape, forward and backward from the first observation as needed.
-  // When grad is on it also reads the states at the observation anchors and
-  // adds their consistency term to the aux loss.
+  // When grad is on it also reads the states at the observation times by
+  // linear interpolation between step ends and adds their consistency term
+  // to the aux loss.
   ag::Var StatesAt(const Encoded& enc,
                    const std::vector<Scalar>& norm_times) const;
   // The weighted consistency term of the n x StateDim() states at the

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <string>
 
 #include "autograd/ops.h"
+#include "data/sequence_batch.h"
 #include "gradcheck.h"
 #include "nn/optimizer.h"
 #include "tensor/random.h"
+#include "tensor/simd.h"
 
 namespace diffode::core {
 namespace {
@@ -242,27 +245,153 @@ TEST(DiffOdeModelTest, WholeModelGradientMatchesFiniteDifferences) {
 
 // The consistency term's value on a fixed model and series, pinned at
 // 1e-12 relative: it scores all n observations at once, and a change that
-// scores other states or other targets moves it.
+// scores other states or other targets moves it. On the PredictAt path the
+// observations lie off the queries' step grid, so those pins hold the
+// linear interpolation between step ends. On the ClassifyLogits path every
+// observation is a query, hence a grid point read with weight exactly 1, so
+// those pins hold the values of a grid that contains every observation.
+// The test selects the scalar kernels: the kernel backends round the
+// PredictAt trajectory about 1e-12 apart, and the squared residual
+// amplifies that to about 6e-12 between scalar and AVX.
 TEST(DiffOdeModelTest, AuxiliaryLossValueIsPinned) {
+  const simd::Isa prev_isa = simd::ActiveIsa();
+  ASSERT_TRUE(simd::SetActiveIsa(simd::Isa::kScalar));
   struct Pin {
     std::string name;
     DiffOdeConfig config;
     Scalar aux;
+    bool classify = false;
   };
   const DiffOdeConfig base = GradcheckConfig();
   std::vector<Pin> pins;
-  pins.push_back({"default", base, 5.9307003291321405e-4});
-  pins.push_back({"2 heads", base, 1.1047953800069649e-3});
+  pins.push_back({"default", base, 2.5593274815958648e-4});
+  pins.push_back({"2 heads", base, 8.6410927973804171e-4});
   pins.back().config.num_heads = 2;
-  pins.push_back({"direct head", base, 5.9307003291321405e-4});
+  pins.push_back({"direct head", base, 2.5593274815958648e-4});
   pins.back().config.head = OutputHead::kDirect;
+  pins.push_back({"classify", base, 5.930700329131542e-4, true});
+  pins.push_back({"classify, 2 heads", base, 1.1047953800069541e-3, true});
+  pins.back().config.num_heads = 2;
   const data::IrregularSeries s = MakeSeries(6, 1, 12);
   for (const Pin& pin : pins) {
     DiffOde model(pin.config);
-    (void)model.PredictAt(s, {s.times[1], s.times.back() + 0.5});
+    if (pin.classify)
+      (void)model.ClassifyLogits(s);
+    else
+      (void)model.PredictAt(s, {s.times[1], s.times.back() + 0.5});
     const Scalar aux = model.TakeAuxiliaryLoss().value().item();
     EXPECT_NEAR(aux, pin.aux, 1e-12 * std::fabs(pin.aux))
         << pin.name << ": " << std::setprecision(17) << aux;
+  }
+  simd::SetActiveIsa(prev_isa);
+}
+
+// The consistency term rebuilt by hand for a direct-head model (state S
+// only) at step 1.0. The observations span [0, 10], so their normalized
+// times are the raw ones. The query at 3.5 and the last observation, which
+// extends the grid, put the step ends at 0, 1, 2, 3, 3.5, 4.5, ..., 9.5, 10,
+// and every interior observation lies between two of them. The hand-built
+// value integrates from one step end to the next with ode::IntegrateVar,
+// blends the two bracketing states linearly, and scores the blend against
+// DhsForward(ctx, ctx.z).
+TEST(DiffOdeModelTest, AuxiliaryLossInterpolatesBetweenStepEnds) {
+  DiffOdeConfig config = GradcheckConfig();
+  config.head = OutputHead::kDirect;
+  config.step = 1.0;
+  data::IrregularSeries s;
+  s.times = {0.0, 1.3, 2.7, 4.45, 5.2, 7.05, 8.65, 10.0};
+  const Index n = static_cast<Index>(s.times.size());
+  const Index d = config.latent_dim;
+  s.values = Tensor(Shape{n, 1});
+  s.mask = Tensor::Ones(Shape{n, 1});
+  for (Index i = 0; i < n; ++i)
+    s.values.at(i, 0) = std::sin(s.times[static_cast<std::size_t>(i)]);
+  DiffOde model(config);
+  (void)model.PredictAt(s, {3.5});
+  const Scalar aux = model.TakeAuxiliaryLoss().value().item();
+
+  // The model's pieces from its public surface: Z, its DHS context, h2 from
+  // the h2-head and φ's layers (CollectParams order: encoder (4), φ (4),
+  // h2-head (2), ...).
+  ag::NoGradScope no_grad;
+  const ag::Var z = ag::Constant(model.LatentZ(s));
+  const std::vector<DhsContext> heads = {BuildDhsContext(z, config.ridge)};
+  const std::vector<ag::Var> p = model.Params();
+  const ag::Var h2 = ag::Transpose(ag::AddRowVec(ag::MatMul(z, p[8]), p[9]));
+  RhsInputs in;
+  in.dims.d = d;
+  in.dims.dc = config.hippo_dim;
+  in.dims.dr = config.info_dim;
+  in.dims.hidden = config.mlp_hidden;
+  in.dims.direct = true;
+  in.layers = {&p[4], &p[5], &p[6], &p[7]};
+  in.heads = &heads;
+  in.h2 = &h2;
+  const ode::DiffOdeFunc f = [&in](Scalar t, const ag::Var& y) {
+    return RhsVar(in, t, y);
+  };
+  const std::vector<Scalar> ends = {0.0, 1.0, 2.0, 3.0, 3.5, 4.5,
+                                    5.5, 6.5, 7.5, 8.5, 9.5, 10.0};
+  std::vector<Tensor> at_end = {
+      DhsForward(heads[0], ag::SliceRows(z, 0, 1)).value()};
+  for (std::size_t k = 1; k < ends.size(); ++k)
+    at_end.push_back(
+        ode::IntegrateVar(f, ag::Constant(at_end.back()), ends[k - 1],
+                          ends[k], {ode::DiffMethod::kMidpoint, config.step})
+            .value());
+  const Tensor target = DhsForward(heads[0], heads[0].z).value();
+  Scalar sum = 0.0;
+  Index off_grid = 0;
+  for (Index i = 0; i < n; ++i) {
+    const Scalar t = s.times[static_cast<std::size_t>(i)];
+    const std::size_t k = std::min<std::size_t>(
+        static_cast<std::size_t>(
+            std::upper_bound(ends.begin(), ends.end(), t) - ends.begin()) -
+            1,
+        ends.size() - 2);
+    const Scalar u = (t - ends[k]) / (ends[k + 1] - ends[k]);
+    if (u != 0.0 && u != 1.0) ++off_grid;
+    for (Index j = 0; j < d; ++j) {
+      const Scalar state = (1.0 - u) * at_end[k].at(0, j) +
+                           u * at_end[k + 1].at(0, j);
+      sum += (state - target.at(i, j)) * (state - target.at(i, j));
+    }
+  }
+  EXPECT_EQ(off_grid, n - 2);
+  const Scalar want =
+      config.consistency_weight * sum / static_cast<Scalar>(n * d);
+  EXPECT_NEAR(aux, want, 1e-12 * want) << std::setprecision(17) << aux;
+}
+
+// Queries that all lie before the last observation: while the consistency
+// term is on, that observation extends the grid past every query, and the
+// query states stay bitwise those of a no-grad forward and of the B = 1
+// engine, which step to the queries only. One query precedes the first
+// observation, so the backward row is covered too.
+TEST(DiffOdeModelTest, QueriesBeforeTheLastObservationStayBitwise) {
+  DiffOde model(GradcheckConfig());
+  const data::IrregularSeries s = MakeSeries(6, 1, 13);
+  const std::vector<Scalar> queries = {s.times[2] + 0.1, s.times[0] - 0.4,
+                                       s.times[4]};
+  std::vector<Tensor> grad_on;
+  for (const ag::Var& v : model.PredictAt(s, queries))
+    grad_on.push_back(v.value());
+  EXPECT_TRUE(model.TakeAuxiliaryLoss().defined());
+  const data::SequenceBatch batch = data::MakeSequenceBatch({&s});
+  const std::vector<Tensor> engine = model.PredictAtBatched(batch, {queries})[0];
+  ag::NoGradScope no_grad;
+  const std::vector<ag::Var> no_grad_preds = model.PredictAt(s, queries);
+  ASSERT_EQ(grad_on.size(), queries.size());
+  ASSERT_EQ(engine.size(), queries.size());
+  ASSERT_EQ(no_grad_preds.size(), queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const Tensor& ng = no_grad_preds[q].value();
+    ASSERT_TRUE(ng.shape() == grad_on[q].shape() &&
+                engine[q].shape() == grad_on[q].shape());
+    for (Index j = 0; j < ng.numel(); ++j) {
+      EXPECT_EQ(ng[j], grad_on[q][j]) << "query " << q;
+      EXPECT_EQ(engine[q][j], grad_on[q][j]) << "query " << q;
+    }
   }
 }
 
