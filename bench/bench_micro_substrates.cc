@@ -13,7 +13,9 @@
 #include "autograd/ops.h"
 #include "core/config.h"
 #include "core/dhs.h"
+#include "core/diffode_model.h"
 #include "core/parallel.h"
+#include "data/sequence_batch.h"
 #include "linalg/pinv.h"
 #include "nn/gru.h"
 #include "sparsity/pt_solver.h"
@@ -544,6 +546,59 @@ void BM_DiffOdeRhsWave(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiffOdeRhsWave);
+
+// The lockstep engine's encode phase at serving shape: 32 ICU-like rows
+// (37 channels, 40-60 observations, half the channels observed), perfbench's
+// model sizes, one pool thread. PredictAtBatched with no queries runs the
+// featurizer, the GRU waves and the per-row factorizations and initial
+// states, and integrates nothing; one query per row adds a short
+// integration and one readout. Args: precision (0 = f64, 1 = f32), queries
+// per row (0 or 1).
+void BM_DiffOdeEncodeBatch(benchmark::State& state) {
+  const Index b = 32, f = 37;
+  Rng rng(31);
+  std::vector<data::IrregularSeries> series(static_cast<std::size_t>(b));
+  for (data::IrregularSeries& s : series) {
+    const Index n = 40 + static_cast<Index>(rng.Uniform(0.0, 21.0));
+    s.values = rng.NormalTensor(Shape{n, f});
+    s.mask = Tensor(Shape{n, f});
+    Scalar t = 0.0;
+    for (Index i = 0; i < n; ++i) {
+      t += rng.Uniform(0.1, 1.0);
+      s.times.push_back(t);
+      for (Index j = 0; j < f; ++j)
+        if (rng.Uniform(0.0, 1.0) < 0.5) s.mask.at(i, j) = 1.0;
+    }
+  }
+  std::vector<const data::IrregularSeries*> ptrs;
+  std::vector<std::vector<Scalar>> times(static_cast<std::size_t>(b));
+  for (std::size_t r = 0; r < series.size(); ++r) {
+    ptrs.push_back(&series[r]);
+    if (state.range(1) > 0) times[r].push_back(series[r].times.back() + 1.0);
+  }
+  const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+  core::DiffOdeConfig config;
+  config.input_dim = f;
+  config.latent_dim = 16;
+  config.hippo_dim = 12;
+  config.info_dim = 12;
+  config.step = 1.0;
+  core::DiffOde model(config);
+  model.Freeze(state.range(0) == 0 ? Precision::kF64 : Precision::kF32);
+  parallel::ThreadPool::SetNumThreads(1);
+  for (auto _ : state) {
+    auto out = model.PredictAtBatched(batch, times);
+    benchmark::DoNotOptimize(out.data());
+  }
+  parallel::ThreadPool::SetNumThreads(0);
+  state.SetItemsProcessed(state.iterations() * b);
+}
+BENCHMARK(BM_DiffOdeEncodeBatch)
+    ->ArgNames({"f32", "queries"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
 
 }  // namespace
 }  // namespace diffode

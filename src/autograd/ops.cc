@@ -127,27 +127,7 @@ Var AddRowVec(const Var& m, const Var& v) {
 Var Softmax(const Var& a) {
   const Tensor& x = a.value();
   Tensor y = Tensor::Uninit(x.shape());
-  const Index r = x.rows();
-  const Index c = x.cols();
-  const Scalar* xp = x.data();
-  Scalar* yp = y.data();
-  // Three passes so the exp runs as one vectorized map over the whole
-  // matrix: shift each row by its max, exponentiate, then normalize.
-  for (Index i = 0; i < r; ++i) {
-    const Scalar* xi = xp + i * c;
-    Scalar* yi = yp + i * c;
-    Scalar m = xi[0];
-    for (Index j = 1; j < c; ++j) m = std::max(m, xi[j]);
-    for (Index j = 0; j < c; ++j) yi[j] = xi[j] - m;
-  }
-  kernels::MapExp(r * c, yp, yp);
-  for (Index i = 0; i < r; ++i) {
-    Scalar* yi = yp + i * c;
-    Scalar z = 0.0;
-    for (Index j = 0; j < c; ++j) z += yi[j];
-    const Scalar inv_z = 1.0 / z;
-    for (Index j = 0; j < c; ++j) yi[j] *= inv_z;
-  }
+  kernels::SoftmaxRows(x.rows(), x.cols(), x.data(), y.data());
   return MakeNode(std::move(y), {&a}, [](Node& n) {
     // Per row: dx = y .* (g - (g . y))
     const Tensor& y = n.value;
@@ -483,29 +463,14 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<Index>& labels) {
   DIFFODE_CHECK_EQ(static_cast<Index>(labels.size()), b);
   const Tensor& x = logits.value();
   Tensor probs = Tensor::Uninit(x.shape());
-  const Scalar* xp = x.data();
-  Scalar* pp = probs.data();
-  // Same three-pass shape as Softmax: shift, one vectorized exp over the
-  // whole batch, then normalize and pick out the label probabilities.
-  for (Index i = 0; i < b; ++i) {
-    const Scalar* xi = xp + i * c;
-    Scalar* pi = pp + i * c;
-    Scalar m = xi[0];
-    for (Index j = 1; j < c; ++j) m = std::max(m, xi[j]);
-    for (Index j = 0; j < c; ++j) pi[j] = xi[j] - m;
-  }
-  kernels::MapExp(b * c, pp, pp);
+  kernels::SoftmaxRows(b, c, x.data(), probs.data());
+  const Scalar* pp = probs.data();
   Scalar loss = 0.0;
   for (Index i = 0; i < b; ++i) {
-    Scalar* pi = pp + i * c;
-    Scalar z = 0.0;
-    for (Index j = 0; j < c; ++j) z += pi[j];
-    const Scalar inv_z = 1.0 / z;
-    for (Index j = 0; j < c; ++j) pi[j] *= inv_z;
     const Index label = labels[static_cast<std::size_t>(i)];
     DIFFODE_CHECK_GE(label, 0);
     DIFFODE_CHECK_LT(label, c);
-    loss -= std::log(std::max(pi[label], 1e-300));
+    loss -= std::log(std::max(pp[i * c + label], 1e-300));
   }
   Tensor out(Shape{1, 1});
   out[0] = loss / static_cast<Scalar>(b);

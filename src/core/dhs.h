@@ -13,11 +13,13 @@
 
 namespace diffode::core {
 
-// The per-sequence factorization of the attention inversion, the only one
-// in the tree: built once per forward pass so gradients flow through Z, the
-// Gram inverse, and every recovery. One context per attention head (Z is
-// the head's column slice). Analysis code builds it from a constant Z under
-// NoGradScope and runs the kernels below on ViewOf(ctx).
+// The per-sequence factorization of the attention inversion on the tape:
+// built once per forward pass so gradients flow through Z, the Gram
+// inverse, and every recovery. One context per attention head (Z is the
+// head's column slice). The lockstep engine computes the same values with
+// the same kernels calls and no tape (diffode_lockstep.cc). Analysis code
+// builds it from a constant Z under NoGradScope and runs the kernels below
+// on ViewOf(ctx).
 //
 // The context doubles as the per-sequence factorization cache: everything
 // that depends only on Z (and the free vectors) — Zᵀ, the Gram inverse
@@ -39,8 +41,8 @@ struct DhsContext {
 
 DhsContext BuildDhsContext(const ag::Var& z, Scalar ridge);
 
-// Precomputes the adaH correction h A_p = h - ((h (Zᵀ)†) Zᵀ), the only
-// source of it for the kAdaH recovery (per-sequence and lockstep alike).
+// Precomputes the adaH correction h A_p = h - ((h (Zᵀ)†) Zᵀ) for the kAdaH
+// recovery of the tape path (the engine mirrors its value chain).
 void CacheAdaHCorrection(DhsContext* ctx, const ag::Var& h_ada);
 
 // Forward DHS read-out (paper Eq. 5): S = softmax(z_q Zᵀ / sqrt(d)) Z.

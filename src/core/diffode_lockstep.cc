@@ -4,17 +4,21 @@
 // the model's layers, T = double by default and float after
 // Freeze(Precision::kF32).
 //
-// What runs in T: the encoder, the RHS — DiffOdeRhs of core/dhs.h, the
-// function the per-sequence tape node RhsVar runs at B = 1: the per-step
-// DHS recoveries (p from S, z from p, the Eq. 12 derivative) over flat
-// chunked scratch, phi / f_r / w_r and the HiPPO tail — and the readouts.
-// What stays f64 at both precisions: the DHS factorization
-// (DiffOde::BuildContexts, from the encoded latents widened once per
-// sequence), the step plans (BuildBatchPlans, the one timeline the tape
-// forward walks too) and the carried state with its stage combines
-// (ode::LockstepIntegrate<T>). The inversion is the
+// What runs in T: the featurizer and the encoder, the RHS — DiffOdeRhs of
+// core/dhs.h, the function the per-sequence tape node RhsVar runs at B = 1:
+// the per-step DHS recoveries (p from S, z from p, the Eq. 12 derivative)
+// over flat chunked scratch, phi / f_r / w_r and the HiPPO tail — and the
+// readouts. What stays f64 at both precisions: the DHS factorization with
+// the h2/adaH heads, z̄ and the initial state (from the encoded latents
+// widened once per sequence), the step plans (BuildBatchPlans, the one
+// timeline the tape forward walks too) and the carried state with its
+// stage combines (ode::LockstepIntegrate<T>). The inversion is the
 // numerically delicate part of DHS and the state accumulate is where
 // rounding compounds; both cost per sequence or per stage, not per GEMM.
+//
+// The engine builds no autograd Var: its encode is DiffOde::Encode's value
+// chain (BuildContexts, InitialState) written as the same kernels calls in
+// the same operand order over plain tensors.
 //
 // Equivalence with the per-sequence path. Every row replays its exact
 // per-sequence (t, h) timeline through the same RHS function. At T = double
@@ -34,6 +38,7 @@
 #include "core/diffode_model.h"
 #include "core/parallel.h"
 #include "data/encoding.h"
+#include "linalg/lu.h"
 #include "nn/frozen.h"
 #include "ode/lockstep.h"
 #include "tensor/buffer_pool.h"
@@ -42,9 +47,9 @@
 namespace diffode::core {
 namespace {
 
-// An f64 tensor at the engine dtype (a plain copy at T = double).
+// An f64 tensor at the engine dtype (moved through at T = double).
 template <typename T>
-TensorT<T> ToDtype(const Tensor& t) {
+TensorT<T> ToDtype(Tensor t) {
   if constexpr (std::is_same_v<T, Scalar>) {
     return t;
   } else {
@@ -62,8 +67,8 @@ Tensor ToF64(TensorT<T> t) {
   }
 }
 
-// One attention head's DhsContext (core/dhs.h) at the engine dtype: the
-// f64 factorization, cast once per sequence.
+// One attention head's factorization (the values of a DhsContext,
+// core/dhs.h) at the engine dtype: built in f64, cast once per sequence.
 template <typename T>
 struct DhsContextT {
   TensorT<T> zt_pinv;    // (Zᵀ)†, n x d_h
@@ -73,14 +78,36 @@ struct DhsContextT {
   T ap_total = 0;
   Index d = 0;
 
-  static DhsContextT From(const DhsContext& ctx) {
+  // BuildDhsContext (and CacheAdaHCorrection when h_ada, 1 x n, is given)
+  // on the head's latents z (n x d_h): the same kernels calls in the same
+  // operand order as the tape's values.
+  static DhsContextT Build(Tensor z, Scalar ridge, const Tensor* h_ada) {
+    const Index n = z.rows(), d = z.cols();
+    const Tensor zt = z.Transposed();
+    Tensor gram = zt.MatMul(z);
+    for (Index i = 0; i < d; ++i) gram.data()[i * d + i] += ridge;
+    Tensor zt_pinv = z.MatMul(linalg::Inverse(gram));
+    // (A_p J)ᵀ = 1 - (Zᵀ)† (Zᵀ 1), exactly zero for n <= d (BuildDhsContext).
+    Tensor ap = Tensor::Zeros(Shape{1, n});
+    if (n > d) {
+      const Tensor proj =
+          zt_pinv.MatMul(zt.MatMul(Tensor::Ones(Shape{n, 1})));
+      ap = Tensor::Ones(Shape{1, n});
+      kernels::Axpy(n, -1.0, proj.data(), ap.data());
+    }
     DhsContextT out;
-    out.zt_pinv = ToDtype<T>(ctx.zt_pinv.value());
-    out.ap_rowsum = ToDtype<T>(ctx.ap_rowsum.value());
-    if (ctx.ada_corr.defined()) out.ada_corr = ToDtype<T>(ctx.ada_corr.value());
-    out.z = ToDtype<T>(ctx.z.value());
-    out.ap_total = static_cast<T>(ctx.ap_total.value().item());
-    out.d = ctx.d;
+    out.ap_total = static_cast<T>(kernels::Sum(n, ap.data()));
+    out.ap_rowsum = ToDtype<T>(std::move(ap));
+    if (h_ada != nullptr) {
+      // h A_p = h - (h (Zᵀ)†) Zᵀ.
+      const Tensor h_proj = h_ada->MatMul(zt_pinv).MatMulTransposed(z);
+      Tensor corr = *h_ada;
+      kernels::Axpy(n, -1.0, h_proj.data(), corr.data());
+      out.ada_corr = ToDtype<T>(std::move(corr));
+    }
+    out.zt_pinv = ToDtype<T>(std::move(zt_pinv));
+    out.z = ToDtype<T>(std::move(z));
+    out.d = d;
     return out;
   }
 
@@ -90,13 +117,25 @@ struct DhsContextT {
     v.zt_pinv = zt_pinv.data();
     v.z = z.data();
     v.ap_rowsum = ap_rowsum.data();
-    if (ada_corr.numel() > 0) v.ada_corr = ada_corr.data();
+    if (!ada_corr.empty()) v.ada_corr = ada_corr.data();
     v.ap_total = ap_total;
     v.n = zt_pinv.rows();
     v.d = d;
     return v;
   }
 };
+
+// S at the first observation by the forward DHS of Eq. 5 on the head's
+// latents z (n x d_h), written into s[d_h]: DhsForward's value chain,
+// softmax(z_0 Zᵀ / √d_h) Z.
+void DhsForwardFirst(const Tensor& z, Scalar* s) {
+  const Index n = z.rows(), d = z.cols();
+  Tensor attn = Tensor::Uninit(Shape{1, n});
+  kernels::GemmNT(1, d, n, z.data(), z.data(), attn.data());
+  kernels::Scale(n, 1.0 / std::sqrt(static_cast<Scalar>(d)), attn.data());
+  kernels::SoftmaxRows(1, n, attn.data(), attn.data());
+  kernels::Gemm(1, n, d, attn.data(), z.data(), s);
+}
 
 // Everything the RHS and the readouts touch per step for one sequence.
 template <typename T>
@@ -129,10 +168,15 @@ struct ServingT {
   nn::FrozenMlp<T> f_out_reg;
   TensorT<T> hippo_a_t;  // dc x dc (Aᵀ)
   TensorT<T> hippo_b_t;  // 1 x dc (Bᵀ)
+  // The per-sequence heads, f64 at both precisions like the factorization
+  // they feed.
+  nn::FrozenLinear<Scalar> h2_head;
+  nn::FrozenLinear<Scalar> h_ada_head;
+  nn::FrozenLinear<Scalar> r_init;
 };
 
-// A friend of DiffOde so it can reuse the private context and initial-state
-// builds.
+// A friend of DiffOde so it can read the model's private layers, shapes and
+// solver choice.
 template <typename T>
 class LockstepEngine {
  public:
@@ -154,6 +198,10 @@ class LockstepEngine {
     snap->f_out_reg = nn::FrozenMlp<T>::FromModule(*model.f_out_reg_);
     snap->hippo_a_t = ToDtype<T>(model.hippo_a_t_);
     snap->hippo_b_t = ToDtype<T>(model.hippo_b_t_);
+    snap->h2_head = nn::FrozenLinear<Scalar>::FromModule(*model.h2_head_);
+    snap->h_ada_head =
+        nn::FrozenLinear<Scalar>::FromModule(*model.h_ada_head_);
+    snap->r_init = nn::FrozenLinear<Scalar>::FromModule(*model.r_init_);
     return snap;
   }
 
@@ -224,23 +272,31 @@ class LockstepEngine {
   }
 
  private:
-  // Encodes the batch: the encoder in T (the GRU recurrence advanced in
-  // lockstep across rows), then the f64 context factorization per row.
+  // Encodes the batch over plain buffers: each row's encoder inputs are
+  // written straight in T, the encoder runs in T (the GRU recurrence
+  // advanced in lockstep across rows), then each row's f64 contexts and
+  // initial state are built by BuildRow.
   std::vector<EncodedT<T>> Encode(const data::SequenceBatch& batch) const {
     const Index b = batch.batch;
     const Index d = c_.latent_dim;
+    const Index enc_in = 2 * c_.input_dim + 2;
     DIFFODE_CHECK_EQ(batch.features, c_.input_dim);
-    // Encoder inputs come from the shared f64 featurizer, cast once per row.
-    std::vector<data::EncoderInputs> inputs;
+    std::vector<EncodedT<T>> encs(static_cast<std::size_t>(b));
     std::vector<TensorT<T>> x(static_cast<std::size_t>(b));
-    inputs.reserve(static_cast<std::size_t>(b));
     Index max_n = 0;
     for (Index r = 0; r < b; ++r) {
       const data::IrregularSeries& s =
           *batch.series[static_cast<std::size_t>(r)];
       DIFFODE_CHECK_GE(s.length(), 2);
-      inputs.push_back(data::BuildEncoderInputs(s, DiffOde::kSpan));
-      x[static_cast<std::size_t>(r)] = ToDtype<T>(inputs.back().inputs);
+      DIFFODE_CHECK_EQ(s.num_features(), c_.input_dim);
+      TensorT<T>& xr = x[static_cast<std::size_t>(r)];
+      xr = TensorT<T>::Uninit(Shape{s.length(), enc_in});
+      data::EncoderInputs in =
+          data::FeaturizeInto(s, DiffOde::kSpan, xr.data());
+      EncodedT<T>& enc = encs[static_cast<std::size_t>(r)];
+      enc.norm_times = std::move(in.norm_times);
+      enc.t_scale = in.t_scale;
+      enc.t_offset = in.t_offset;
       max_n = std::max(max_n, s.length());
     }
     std::vector<TensorT<T>> z_rows(static_cast<std::size_t>(b));
@@ -251,7 +307,6 @@ class LockstepEngine {
       for (Index r = 0; r < b; ++r)
         z_rows[static_cast<std::size_t>(r)] = TensorT<T>::Uninit(
             Shape{batch.lengths[static_cast<std::size_t>(r)], d});
-      const Index enc_in = x.front().cols();
       TensorT<T> h_all(Shape{b, d});  // zeros, as GruCell::InitialState
       std::vector<Index> active;
       for (Index i = 0; i < max_n; ++i) {
@@ -282,36 +337,63 @@ class LockstepEngine {
         z_rows[static_cast<std::size_t>(r)] =
             snap_.mlp_encoder.Forward(x[static_cast<std::size_t>(r)]);
     }
-    // The per-row context builds (pseudoinverse, h2/adaH heads) are
-    // independent, so they shard across the deterministic pool. GradMode and
-    // the buffer pool are thread-local, so every chunk pins NoGrad and its
-    // own pool scope.
-    std::vector<EncodedT<T>> encs(static_cast<std::size_t>(b));
+    // The per-row builds are independent, so they shard across the
+    // deterministic pool; the buffer pool is thread-local, so every chunk
+    // opens its own scope.
     parallel::ParallelFor(0, b, 1, [&](Index r0, Index r1) {
       tensor::BufferPool::Scope pool;
-      ag::NoGradScope no_grad;
-      for (Index r = r0; r < r1; ++r) {
-        data::EncoderInputs& in = inputs[static_cast<std::size_t>(r)];
-        DiffOde::Encoded enc;
-        enc.t_scale = in.t_scale;
-        enc.t_offset = in.t_offset;
-        enc.norm_times = std::move(in.norm_times);
-        enc.z = ag::Constant(
-            ToF64<T>(std::move(z_rows[static_cast<std::size_t>(r)])));
-        m_.BuildContexts(&enc);
-        EncodedT<T>& out = encs[static_cast<std::size_t>(r)];
-        out.heads.reserve(enc.heads.size());
-        for (const DhsContext& ctx : enc.heads)
-          out.heads.push_back(DhsContextT<T>::From(ctx));
-        if (enc.h2.defined()) out.h2 = ToDtype<T>(enc.h2.value());
-        out.z_mean = ToDtype<T>(enc.z_mean.value());
-        out.y0 = ToDtype<T>(m_.InitialState(enc).value());
-        out.norm_times = std::move(enc.norm_times);
-        out.t_scale = enc.t_scale;
-        out.t_offset = enc.t_offset;
-      }
+      for (Index r = r0; r < r1; ++r)
+        BuildRow(ToF64<T>(std::move(z_rows[static_cast<std::size_t>(r)])),
+                 &encs[static_cast<std::size_t>(r)]);
     });
     return encs;
+  }
+
+  // One row's per-head factorizations, h2, z̄ and initial state from its f64
+  // latents z (n x d): the values DiffOde::BuildContexts and InitialState
+  // compute on the tape, in the same kernels calls and operand order, so
+  // the engine at B = 1 stays bitwise the per-sequence path.
+  void BuildRow(Tensor z, EncodedT<T>* out) const {
+    const Index n = z.rows();
+    const Index d = c_.latent_dim;
+    const Index sd = m_.StateDim();
+    // z̄ = (1/n) 1ᵀ Z, and r0 = tanh(r_init(z̄)) at the end of the state.
+    const Tensor z_mean =
+        Tensor::Full(Shape{1, n}, 1.0 / static_cast<Scalar>(n)).MatMul(z);
+    Tensor y0(Shape{1, sd});  // the HiPPO coefficients c0 start at zero
+    if (!c_.use_attention || c_.head != OutputHead::kDirect) {
+      const Tensor r0 = snap_.r_init.Forward(z_mean);
+      kernels::MapTanh(c_.info_dim, r0.data(), y0.data() + sd - c_.info_dim);
+    }
+    if (c_.use_attention) {
+      // The free vectors, 1 x n (a Linear's n x 1 output read as a row).
+      Tensor h2 = snap_.h2_head.Forward(z).Reshaped(Shape{1, n});
+      Tensor h_ada;
+      if (c_.pt_strategy == sparsity::PtStrategy::kAdaH)
+        h_ada = snap_.h_ada_head.Forward(z).Reshaped(Shape{1, n});
+      const Index heads = c_.num_heads;
+      const Index dh = d / heads;
+      out->heads.reserve(static_cast<std::size_t>(heads));
+      for (Index hidx = 0; hidx < heads; ++hidx) {
+        Tensor z_h = heads == 1 ? std::move(z) : SliceCols(z, hidx * dh, dh);
+        // S0 of this head, at its columns of the state.
+        DhsForwardFirst(z_h, y0.data() + hidx * dh);
+        out->heads.push_back(DhsContextT<T>::Build(
+            std::move(z_h), c_.ridge, h_ada.empty() ? nullptr : &h_ada));
+      }
+      out->h2 = ToDtype<T>(std::move(h2));
+    }
+    out->z_mean = ToDtype<T>(z_mean);
+    out->y0 = ToDtype<T>(std::move(y0));
+  }
+
+  // Columns [begin, begin + count) of m.
+  static Tensor SliceCols(const Tensor& m, Index begin, Index count) {
+    Tensor out = Tensor::Uninit(Shape{m.rows(), count});
+    for (Index i = 0; i < m.rows(); ++i)
+      std::copy_n(m.data() + i * m.cols() + begin, count,
+                  out.data() + i * count);
+    return out;
   }
 
   // States for every (row, query-time) pair via one lockstep integration;

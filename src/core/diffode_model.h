@@ -97,8 +97,9 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
 
   Encoded Encode(const data::IrregularSeries& context) const;
   // Everything Encode builds after the latent matrix Z: the per-head DHS
-  // contexts, free vectors and z_mean.
-  // Shared by the per-sequence and batched encoders.
+  // contexts, free vectors and z_mean. The lockstep engine computes the
+  // same values, with InitialState's, over plain tensors
+  // (LockstepEngine<T>::BuildRow).
   void BuildContexts(Encoded* enc) const;
   // Augmented initial state [S | c | r] (or [c | r] without attention).
   ag::Var InitialState(const Encoded& enc) const;
@@ -158,7 +159,7 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
 
   // Frozen serving snapshots; at most one is set, by the last Freeze. An
   // f32 snapshot routes the batched forwards to LockstepEngine<float>, a
-  // friend so it can reuse the private context/initial-state builds.
+  // friend so it can read the private layers and shapes.
   template <typename T>
   friend class LockstepEngine;
   std::shared_ptr<const ServingT<float>> serving_f32_;

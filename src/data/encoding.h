@@ -22,8 +22,19 @@ struct EncoderInputs {
   }
 };
 
+// The feature rows of `series` as f64, with their time map.
 EncoderInputs BuildEncoderInputs(const IrregularSeries& series,
                                  Scalar span = 10.0);
+
+// The one featurizer body, at the destination dtype T (double or float):
+// writes every element of the n x (2 f + 2) feature rows into rows[]
+// (row-major), each computed in f64 and rounded once to T, and returns the
+// time map and normalized times with `inputs` left empty.
+// BuildEncoderInputs is its f64 wrapper; the f32 lockstep engine writes its
+// encoder inputs through it in float, bitwise the cast of the f64 rows.
+template <typename T>
+EncoderInputs FeaturizeInto(const IrregularSeries& series, Scalar span,
+                            T* rows);
 
 }  // namespace diffode::data
 

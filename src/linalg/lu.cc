@@ -1,5 +1,6 @@
 #include "linalg/lu.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -13,38 +14,50 @@ bool TrySolve(const Tensor& a, const Tensor& b, Scalar min_pivot,
   DIFFODE_CHECK(x_out != nullptr);
   Tensor lu = a;
   Tensor x = b;
+  const Index nc = x.cols();
+  Scalar* const lp = lu.data();
+  Scalar* const xp = x.data();
   for (Index k = 0; k < n; ++k) {
     // Partial pivoting.
     Index pivot = k;
-    Scalar best = std::fabs(lu.at(k, k));
+    Scalar best = std::fabs(lp[k * n + k]);
     for (Index i = k + 1; i < n; ++i) {
-      const Scalar v = std::fabs(lu.at(i, k));
+      const Scalar v = std::fabs(lp[i * n + k]);
       if (v > best) {
         best = v;
         pivot = i;
       }
     }
     if (!(best > min_pivot)) return false;
+    Scalar* const lk = lp + k * n;
+    Scalar* const xk = xp + k * nc;
     if (pivot != k) {
-      for (Index j = 0; j < n; ++j) std::swap(lu.at(k, j), lu.at(pivot, j));
-      for (Index j = 0; j < x.cols(); ++j) std::swap(x.at(k, j), x.at(pivot, j));
+      std::swap_ranges(lk, lk + n, lp + pivot * n);
+      std::swap_ranges(xk, xk + nc, xp + pivot * nc);
     }
-    const Scalar inv = 1.0 / lu.at(k, k);
+    const Scalar inv = 1.0 / lk[k];
     for (Index i = k + 1; i < n; ++i) {
-      const Scalar factor = lu.at(i, k) * inv;
+      Scalar* const li = lp + i * n;
+      const Scalar factor = li[k] * inv;
       if (factor == 0.0) continue;
-      lu.at(i, k) = factor;
-      for (Index j = k + 1; j < n; ++j) lu.at(i, j) -= factor * lu.at(k, j);
-      for (Index j = 0; j < x.cols(); ++j) x.at(i, j) -= factor * x.at(k, j);
+      li[k] = factor;
+      for (Index j = k + 1; j < n; ++j) li[j] -= factor * lk[j];
+      Scalar* const xi = xp + i * nc;
+      for (Index j = 0; j < nc; ++j) xi[j] -= factor * xk[j];
     }
   }
-  // Back substitution.
-  for (Index c = 0; c < x.cols(); ++c) {
-    for (Index i = n - 1; i >= 0; --i) {
-      Scalar s = x.at(i, c);
-      for (Index j = i + 1; j < n; ++j) s -= lu.at(i, j) * x.at(j, c);
-      x.at(i, c) = s / lu.at(i, i);
+  // Back substitution, right-hand-side columns innermost: each x(i, c) still
+  // subtracts lu(i, j) x(j, c) for j = i+1 .. n-1 in order, then divides.
+  for (Index i = n - 1; i >= 0; --i) {
+    const Scalar* const li = lp + i * n;
+    Scalar* const xi = xp + i * nc;
+    for (Index j = i + 1; j < n; ++j) {
+      const Scalar lij = li[j];
+      const Scalar* const xj = xp + j * nc;
+      for (Index c = 0; c < nc; ++c) xi[c] -= lij * xj[c];
     }
+    const Scalar diag = li[i];
+    for (Index c = 0; c < nc; ++c) xi[c] /= diag;
   }
   *x_out = std::move(x);
   return true;

@@ -86,7 +86,7 @@ struct FrozenMlp {
 };
 
 // GRU cell mirror of one nn::GruCell step: the two gate GEMMs, then the
-// gate body both share (GruGateRow, nn/gru.h) per row.
+// gate body both share (GruGateRows, nn/gru.h) over all rows at once.
 template <typename T>
 struct FrozenGru {
   Index hidden = 0;
@@ -108,11 +108,10 @@ struct FrozenGru {
     const TensorT<T> xg = x_gates.Forward(x);  // b x 3H
     const TensorT<T> hg = h_gates.Forward(h);  // b x 3H
     TensorT<T> out = TensorT<T>::Uninit(Shape{bsz, H});
-    TensorT<T> gates = TensorT<T>::Uninit(Shape{1, 3 * H});  // r, u, c
+    TensorT<T> gates = TensorT<T>::Uninit(Shape{3 * bsz, H});  // r, u, c
     T* g = gates.data();
-    for (Index i = 0; i < bsz; ++i)
-      GruGateRow(H, xg.data() + i * 3 * H, hg.data() + i * 3 * H,
-                 h.data() + i * H, g, g + H, g + 2 * H, out.data() + i * H);
+    GruGateRows(bsz, H, xg.data(), hg.data(), h.data(), g, g + bsz * H,
+                g + 2 * bsz * H, out.data());
     return out;
   }
 };

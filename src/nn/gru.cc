@@ -11,8 +11,8 @@ namespace {
 
 // What a recurrence node's backward reads besides its parents' values (x,
 // h0, W_x, b_x, W_h, b_h, in that order) and its own value (every state):
-// the number of sequences B and, per state row, the gates the forward saved
-// as [r | u | c | hg_c], 4H each.
+// the number of sequences B and, per step, the gates the forward saved as
+// four B x H blocks [R | U | C | HG_c].
 struct GruRecord {
   Index rows = 0;
   const Scalar* saved = nullptr;
@@ -62,10 +62,10 @@ void GruBackward(ag::Node& node, const GruRecord& rec) {
   for (Index t = steps - 1; t >= 0; --t) {
     for (Index k = 0; k < b; ++k) {
       const Index i = t * b + k;
-      const Scalar* r = rec.saved + i * 4 * hd;
-      const Scalar* u = r + hd;
-      const Scalar* c = r + 2 * hd;
-      const Scalar* hgc = r + 3 * hd;
+      const Scalar* r = rec.saved + (t * 4 * b + k) * hd;
+      const Scalar* u = r + b * hd;
+      const Scalar* c = r + 2 * b * hd;
+      const Scalar* hgc = r + 3 * b * hd;
       const Scalar* hp = t == 0 ? h0.data() + k * hd : hs + (i - b) * hd;
       const Scalar* gi = g + i * hd;
       Scalar* du_carry = carry_u.data() + k * hd;
@@ -139,8 +139,8 @@ ag::Var GruCell::Scan(const ag::Var& x, const ag::Var& h0) const {
   ag::TapeArena* arena = record ? ag::TapeArena::Active() : nullptr;
   const std::size_t saved_size = static_cast<std::size_t>(m * 4 * hd);
   // Per step: the recurrent half hg (B x 3H), then, with nothing recorded,
-  // the gates r, u, c as plain scratch.
-  Tensor scratch = Tensor::Uninit(Shape{1, b * g3 + (record ? 0 : g3)});
+  // the gates r, u, c (B x H each) as plain scratch.
+  Tensor scratch = Tensor::Uninit(Shape{1, b * g3 + (record ? 0 : b * g3)});
   Scalar* hg = scratch.data();
   GruRecord* rec = nullptr;
   std::shared_ptr<HeapGruRecord> owned;
@@ -162,13 +162,12 @@ ag::Var GruCell::Scan(const ag::Var& x, const ag::Var& h0) const {
         t == 0 ? h0.value().data() : out.data() + (t - 1) * b * hd;
     kernels::Gemm(b, hd, g3, hp, wh.value().data(), hg);
     AddBias(b, g3, bh.value().data(), hg);
-    for (Index k = 0; k < b; ++k) {
-      const Index i = t * b + k;
-      Scalar* gates = record ? saved + i * 4 * hd : hg + b * g3;
-      GruGateRow(hd, xg.data() + i * g3, hg + k * g3, hp + k * hd, gates,
-                 gates + hd, gates + 2 * hd, out.data() + i * hd);
-      if (record) std::copy_n(hg + k * g3 + 2 * hd, hd, gates + 3 * hd);
-    }
+    Scalar* gates = record ? saved + t * 4 * b * hd : hg + b * g3;
+    GruGateRows(b, hd, xg.data() + t * b * g3, hg, hp, gates, gates + b * hd,
+                gates + 2 * b * hd, out.data() + t * b * hd);
+    if (record)
+      for (Index k = 0; k < b; ++k)
+        std::copy_n(hg + k * g3 + 2 * hd, hd, gates + (3 * b + k) * hd);
   }
   if (!record) return ag::Var(std::move(out));
   if (arena != nullptr) {

@@ -9,27 +9,38 @@
 
 namespace diffode::nn {
 
-// One GRU gate pass over one row, PyTorch gate convention:
+// One GRU gate pass over e rows, PyTorch gate convention:
 //   r = sigmoid(xg_r + hg_r), u = sigmoid(xg_u + hg_u),
 //   c = tanh(xg_c + r * hg_c), h' = c + u * (h - c),
 // from the gate pre-activations xg = x W_x + b_x and hg = h W_h + b_h
-// ([r | u | c] blocks of H each) and the previous state h. Writes r, u and
-// c (the tape node saves them; the serving mirror passes scratch) and h'
-// into out. The one step body of GruCell's tape node and of FrozenGru<T>,
-// so training and serving run the same arithmetic in the same order.
+// (e x 3H, [r | u | c] blocks of H per row) and the previous states h
+// (e x H). Writes r, u and c (e x H each; the tape node saves them, the
+// serving mirror passes scratch) and h' into out (e x H). Each gate
+// nonlinearity is one map over all e·H values; the maps are elementwise,
+// so every value is the one a row-at-a-time pass computes. The one step
+// body of GruCell's tape node and of FrozenGru<T>, so training and serving
+// run the same arithmetic in the same order.
 template <typename T>
-void GruGateRow(Index H, const T* xg, const T* hg, const T* h, T* r, T* u,
-                T* c, T* out) {
-  for (Index j = 0; j < H; ++j) r[j] = xg[j] + hg[j];
-  kernels::MapSigmoid(H, r, r);
-  for (Index j = 0; j < H; ++j) c[j] = xg[2 * H + j] + r[j] * hg[2 * H + j];
-  kernels::MapTanh(H, c, c);
-  for (Index j = 0; j < H; ++j) u[j] = xg[H + j] + hg[H + j];
-  kernels::MapSigmoid(H, u, u);
-  for (Index j = 0; j < H; ++j) out[j] = c[j] + u[j] * (h[j] - c[j]);
+void GruGateRows(Index e, Index H, const T* xg, const T* hg, const T* h,
+                 T* r, T* u, T* c, T* out) {
+  const Index g3 = 3 * H;
+  for (Index i = 0; i < e; ++i)
+    for (Index j = 0; j < H; ++j)
+      r[i * H + j] = xg[i * g3 + j] + hg[i * g3 + j];
+  kernels::MapSigmoid(e * H, r, r);
+  for (Index i = 0; i < e; ++i)
+    for (Index j = 0; j < H; ++j)
+      c[i * H + j] =
+          xg[i * g3 + 2 * H + j] + r[i * H + j] * hg[i * g3 + 2 * H + j];
+  kernels::MapTanh(e * H, c, c);
+  for (Index i = 0; i < e; ++i)
+    for (Index j = 0; j < H; ++j)
+      u[i * H + j] = xg[i * g3 + H + j] + hg[i * g3 + H + j];
+  kernels::MapSigmoid(e * H, u, u);
+  for (Index k = 0; k < e * H; ++k) out[k] = c[k] + u[k] * (h[k] - c[k]);
 }
 
-// Gated recurrent unit cell (Cho et al. 2014) with the gates of GruGateRow.
+// Gated recurrent unit cell (Cho et al. 2014) with the gates of GruGateRows.
 // Each call is ONE tape node with a hand-derived backward (BPTT over the
 // gates saved in the thread's TapeArena), not an op chain.
 class GruCell : public Module {

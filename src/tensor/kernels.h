@@ -1,6 +1,7 @@
 #ifndef DIFFODE_TENSOR_KERNELS_H_
 #define DIFFODE_TENSOR_KERNELS_H_
 
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
 
@@ -94,6 +95,30 @@ template <typename T>
 void MapSigmoid(Index n, const T* x, T* out);
 template <typename T>
 void MapExp(Index n, const T* x, T* out);
+
+// y (rows x cols) = the row-wise softmax of x, in three passes so the exp
+// runs as one vectorized map over the whole matrix: shift each row by its
+// max, exponentiate, then normalize. The one softmax forward of the tree
+// (ag::Softmax, ag::SoftmaxCrossEntropy and the lockstep engine's initial
+// DHS state). y may alias x.
+template <typename T>
+void SoftmaxRows(Index rows, Index cols, const T* x, T* y) {
+  for (Index i = 0; i < rows; ++i) {
+    const T* xi = x + i * cols;
+    T* yi = y + i * cols;
+    T m = xi[0];
+    for (Index j = 1; j < cols; ++j) m = std::max(m, xi[j]);
+    for (Index j = 0; j < cols; ++j) yi[j] = xi[j] - m;
+  }
+  MapExp(rows * cols, y, y);
+  for (Index i = 0; i < rows; ++i) {
+    T* yi = y + i * cols;
+    T z = T(0);
+    for (Index j = 0; j < cols; ++j) z += yi[j];
+    const T inv_z = T(1) / z;
+    for (Index j = 0; j < cols; ++j) yi[j] *= inv_z;
+  }
+}
 
 // Batched-row movement for the lockstep execution engine (docs/performance.md
 // "Execution batching"). Both are pure row copies — no arithmetic — so

@@ -296,12 +296,15 @@ ServeOutcome ServeTwice(Precision precision) {
 // The serving contract: the lockstep engine opens its own pool scope, so a
 // warm flush takes nothing from the heap outside the pool, at either
 // precision. One pool thread keeps every allocation on the calling thread.
+// The engine runs off autograd, its encode included: a flush (classification
+// and regression) builds no Var at all.
 TEST(AllocStatsTest, WarmEngineFlushHasZeroPoolBypass) {
   parallel::ThreadPool::SetNumThreads(1);
   for (Precision precision : {Precision::kF64, Precision::kF32}) {
     const ServeOutcome out = ServeTwice(precision);
     EXPECT_EQ(out.warm.pool_bypass, 0u) << PrecisionName(precision);
     EXPECT_GT(out.warm.pool_hits, 0u) << PrecisionName(precision);
+    EXPECT_EQ(out.warm.value_only_vars, 0u) << PrecisionName(precision);
   }
   parallel::ThreadPool::SetNumThreads(0);
 }

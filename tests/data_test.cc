@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "data/encoding.h"
 #include "data/generators.h"
@@ -264,6 +267,47 @@ TEST(EncodingTest, MaskedValuesZeroedInInputs) {
   EXPECT_DOUBLE_EQ(enc.inputs.at(1, 1), 11.0);
   EXPECT_DOUBLE_EQ(enc.inputs.at(0, 2), 1.0);  // mask channel
   EXPECT_DOUBLE_EQ(enc.inputs.at(0, 3), 0.0);
+}
+
+// The f32 engine featurizes straight into float: every element must be the
+// float rounding of the f64 feature (computed in f64 first), and the time
+// map must not depend on the destination dtype.
+TEST(EncodingTest, FloatRowsAreTheCastOfTheF64Rows) {
+  PhysioNetLikeConfig config;
+  config.num_patients = 3;
+  const Dataset ds = MakePhysioNetLike(config);
+  const IrregularSeries& s = ds.train.front();
+  const Index n = s.length(), f = s.num_features();
+  ASSERT_EQ(f, 37);
+  const EncoderInputs enc = BuildEncoderInputs(s, 10.0);
+  ASSERT_TRUE(enc.inputs.shape() == (Shape{n, 2 * f + 2}));
+  bool masked = false;
+  for (Index i = 0; i < n; ++i) {
+    const Scalar t = (s.times[static_cast<std::size_t>(i)] - s.times.front()) *
+                     (10.0 / (s.times.back() - s.times.front()));
+    for (Index j = 0; j < f; ++j) {
+      masked = masked || s.mask.at(i, j) == 0.0;
+      EXPECT_EQ(enc.inputs.at(i, j), s.values.at(i, j) * s.mask.at(i, j));
+      EXPECT_EQ(enc.inputs.at(i, f + j), s.mask.at(i, j));
+    }
+    EXPECT_EQ(enc.inputs.at(i, 2 * f), t);
+    EXPECT_EQ(enc.norm_times[static_cast<std::size_t>(i)], t);
+  }
+  EXPECT_TRUE(masked);
+  std::vector<float> rows(static_cast<std::size_t>(n * (2 * f + 2)));
+  const EncoderInputs meta = FeaturizeInto(s, 10.0, rows.data());
+  EXPECT_TRUE(meta.inputs.empty());  // no f64 rows built
+  for (Index k = 0; k < enc.inputs.numel(); ++k) {
+    const float want = static_cast<float>(enc.inputs[k]);
+    std::uint32_t a, b;
+    std::memcpy(&a, &rows[static_cast<std::size_t>(k)], sizeof(a));
+    std::memcpy(&b, &want, sizeof(b));
+    EXPECT_EQ(a, b) << "k=" << k;
+  }
+  EXPECT_EQ(meta.norm_times, enc.norm_times);
+  EXPECT_EQ(meta.t_scale, enc.t_scale);
+  EXPECT_EQ(meta.t_offset, enc.t_offset);
+  EXPECT_EQ(enc.t_offset, s.times.front());
 }
 
 TEST(SeriesTest, SliceKeepsAlignment) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
 #include "linalg/lu.h"
 #include "linalg/pinv.h"
 #include "linalg/svd.h"
@@ -43,6 +48,79 @@ TEST(LuTest, InverseIdentity) {
   Tensor inv = Inverse(a);
   EXPECT_LT((a.MatMul(inv) - Tensor::Eye(5)).MaxAbs(), 1e-9);
   EXPECT_LT((inv.MatMul(a) - Tensor::Eye(5)).MaxAbs(), 1e-9);
+}
+
+// The solver as it was written before its raw-pointer rewrite: bounds-checked
+// element access and back substitution one right-hand side at a time. The
+// rewrite must keep every element's subtractions and division, so it is
+// pinned bitwise against this copy.
+Tensor ReferenceSolve(const Tensor& a, const Tensor& b) {
+  const Index n = a.rows();
+  Tensor lu = a;
+  Tensor x = b;
+  for (Index k = 0; k < n; ++k) {
+    Index pivot = k;
+    Scalar best = std::fabs(lu.at(k, k));
+    for (Index i = k + 1; i < n; ++i) {
+      const Scalar v = std::fabs(lu.at(i, k));
+      if (v > best) {
+        best = v;
+        pivot = i;
+      }
+    }
+    if (pivot != k) {
+      for (Index j = 0; j < n; ++j) std::swap(lu.at(k, j), lu.at(pivot, j));
+      for (Index j = 0; j < x.cols(); ++j)
+        std::swap(x.at(k, j), x.at(pivot, j));
+    }
+    const Scalar inv = 1.0 / lu.at(k, k);
+    for (Index i = k + 1; i < n; ++i) {
+      const Scalar factor = lu.at(i, k) * inv;
+      if (factor == 0.0) continue;
+      lu.at(i, k) = factor;
+      for (Index j = k + 1; j < n; ++j) lu.at(i, j) -= factor * lu.at(k, j);
+      for (Index j = 0; j < x.cols(); ++j) x.at(i, j) -= factor * x.at(k, j);
+    }
+  }
+  for (Index c = 0; c < x.cols(); ++c) {
+    for (Index i = n - 1; i >= 0; --i) {
+      Scalar s = x.at(i, c);
+      for (Index j = i + 1; j < n; ++j) s -= lu.at(i, j) * x.at(j, c);
+      x.at(i, c) = s / lu.at(i, i);
+    }
+  }
+  return x;
+}
+
+void ExpectBitwise(const Tensor& a, const Tensor& b) {
+  ASSERT_TRUE(a.shape() == b.shape());
+  for (Index i = 0; i < a.numel(); ++i) {
+    std::uint64_t ia, ib;
+    const Scalar av = a[i], bv = b[i];
+    std::memcpy(&ia, &av, sizeof(ia));
+    std::memcpy(&ib, &bv, sizeof(ib));
+    EXPECT_EQ(ia, ib) << "i=" << i;
+  }
+}
+
+TEST(LuTest, SolveAndInverseAreBitwiseTheReferenceLoop) {
+  Rng rng(11);
+  for (Index n : {1, 5, 16, 17}) {
+    // A Gram plus a ridge, as DHS inverts, and a general matrix.
+    const Tensor z = rng.NormalTensor(Shape{n + 3, n});
+    Tensor gram = z.Transposed().MatMul(z);
+    for (Index i = 0; i < n; ++i) gram.at(i, i) += 1e-6;
+    ExpectBitwise(Inverse(gram), ReferenceSolve(gram, Tensor::Eye(n)));
+    const Tensor a = rng.NormalTensor(Shape{n, n});
+    ExpectBitwise(Inverse(a), ReferenceSolve(a, Tensor::Eye(n)));
+    const Tensor b = rng.NormalTensor(Shape{n, 3});
+    ExpectBitwise(Solve(a, b), ReferenceSolve(a, b));
+  }
+  // Zeros on the leading diagonal force row swaps at every step.
+  const Tensor perm = Tensor::FromRows(3, 3, {0, 2, 1, 3, 0, 1, 1, 1, 0});
+  const Tensor rhs = Tensor::FromRows(3, 2, {1, -2, 0.5, 3, -1, 7});
+  ExpectBitwise(Solve(perm, rhs), ReferenceSolve(perm, rhs));
+  ExpectBitwise(Inverse(perm), ReferenceSolve(perm, Tensor::Eye(3)));
 }
 
 TEST(SvdTest, ReconstructionAndOrthogonality) {
